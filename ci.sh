@@ -129,4 +129,13 @@ echo "==> cargo doc (--no-default-features, warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
   -p chef-linalg -p chef-model -p chef-data -p chef-core -p chef-bench -p chef-obs -p chef-serve --no-default-features
 
+# The end-to-end benchmark is its own Cargo workspace built against the
+# library's public API: a deletion that breaks it must fail here, not
+# when the benchmark runs.
+echo "==> e2ebench build (release, offline)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
+echo "==> e2ebench tests"
+cargo test --release --manifest-path e2ebench/Cargo.toml
+
 echo "ci.sh: all green"

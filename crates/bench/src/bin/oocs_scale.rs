@@ -14,10 +14,8 @@
 //!   and runs the round on it (the pre-§15 configuration),
 //! * `mmap-eager`: the round runs directly on the [`MmapStore`] with a
 //!   bounded residency window and open-time checksum verification,
-//! * `mmap-lazy`: same, but `IntegrityMode::LazyFirstTouch` + the
-//!   background verify-and-warm prefetcher,
-//! * `mmap-lazy-nopf`: lazy integrity with the prefetcher disabled
-//!   (the serial twin of the pipeline),
+//! * `mmap-lazy`: same, but `IntegrityMode::LazyFirstTouch`: each
+//!   block is checksummed on the reading thread when first touched,
 //! * `cold-eager` / `cold-lazy`: no cleaning round — time from
 //!   `open_with` to the first Infl-scored block (256 rows, fixed probe
 //!   vectors), the cold-open lane.
@@ -27,8 +25,8 @@
 //! suggested label + the final parameter bits + final F1 bits); the
 //! parent asserts all modes match bit-for-bit before writing
 //! `BENCH_oocs.json` — the document is only ever written for runs where
-//! out-of-core execution (and integrity laziness, and prefetch overlap)
-//! provably changed nothing but footprint and wall time. The cold-open
+//! out-of-core execution (and integrity laziness) provably changed
+//! nothing but footprint and wall time. The cold-open
 //! children fingerprint their scored block the same way. See DESIGN.md
 //! §15 and EXPERIMENTS.md (`oocs_scale`).
 //!
@@ -174,16 +172,11 @@ fn dirs_for(root: &Path, n: usize) -> (PathBuf, PathBuf, PathBuf) {
 }
 
 /// Store options for an mmap-mode child.
-fn store_opts(
-    integrity: IntegrityMode,
-    background_prefetch: bool,
-    force_pread: bool,
-) -> StoreOptions {
+fn store_opts(integrity: IntegrityMode, force_pread: bool) -> StoreOptions {
     StoreOptions {
         residency_chunks: RESIDENCY_CHUNKS,
         force_pread,
         integrity,
-        background_prefetch,
     }
 }
 
@@ -212,8 +205,7 @@ fn run_cold_probe(train_dir: &Path, n: usize, integrity: IntegrityMode, mode: &s
     let candidates: Vec<usize> = (0..COLD_PROBE_ROWS.min(n)).collect();
 
     let t0 = Instant::now();
-    let store =
-        MmapStore::open_with(train_dir, store_opts(integrity, false, false)).expect("open store");
+    let store = MmapStore::open_with(train_dir, store_opts(integrity, false)).expect("open store");
     let open_s = t0.elapsed().as_secs_f64();
     let scores = rank_infl_with_vector(&model, &store, &w, &v, &candidates, 0.2);
     let cold_s = t0.elapsed().as_secs_f64();
@@ -271,13 +263,11 @@ fn run_child(args: &[String]) {
     let pipeline = Pipeline::new(pipeline_config());
     let weaken_seed = SEED ^ 0xabcd;
 
-    // (integrity, background_prefetch) per mmap mode; `memory` opens
-    // eagerly too — the pre-§15 configuration verified everything
-    // before materializing.
+    // Integrity per mmap mode; `memory` opens eagerly too — the
+    // pre-§15 configuration verified everything before materializing.
     let mmap_opts = match mode.as_str() {
-        "memory" | "mmap-eager" => store_opts(IntegrityMode::Eager, true, force_pread),
-        "mmap-lazy" => store_opts(IntegrityMode::LazyFirstTouch, true, force_pread),
-        "mmap-lazy-nopf" => store_opts(IntegrityMode::LazyFirstTouch, false, force_pread),
+        "memory" | "mmap-eager" => store_opts(IntegrityMode::Eager, force_pread),
+        "mmap-lazy" => store_opts(IntegrityMode::LazyFirstTouch, force_pread),
         other => panic!("unknown --mode {other:?}"),
     };
 
@@ -324,7 +314,6 @@ fn run_child(args: &[String]) {
         w.field_u64("verify_ms", io.verify_ms);
         w.field_u64("blocks_verified", io.blocks_verified);
         w.field_u64("lazy_verify_hits", io.lazy_verify_hits);
-        w.field_u64("prefetch_overlap_ms", io.prefetch_overlap_ms);
     }
     w.field_str("fingerprint", &fingerprint(&report));
     w.end_object();
@@ -552,13 +541,8 @@ fn main() {
         let memory = spawn_child(n, "memory", &root, &[]);
         let mmap_eager = spawn_child(n, "mmap-eager", &root, &[]);
         let mmap_lazy = spawn_child(n, "mmap-lazy", &root, &[]);
-        let mmap_nopf = spawn_child(n, "mmap-lazy-nopf", &root, &[]);
         let fp = field_str(&memory, "fingerprint");
-        for (name, frag) in [
-            ("mmap-eager", &mmap_eager),
-            ("mmap-lazy", &mmap_lazy),
-            ("mmap-lazy-nopf", &mmap_nopf),
-        ] {
+        for (name, frag) in [("mmap-eager", &mmap_eager), ("mmap-lazy", &mmap_lazy)] {
             assert_eq!(
                 fp,
                 field_str(frag, "fingerprint"),
@@ -570,7 +554,7 @@ fn main() {
             field_u64(&mmap_lazy, "peak_rss_bytes"),
         );
         println!(
-            "n={n}: all four fingerprints match ({fp}); peak RSS memory={} MB mmap-lazy={} MB ({:.2}x)",
+            "n={n}: all three fingerprints match ({fp}); peak RSS memory={} MB mmap-lazy={} MB ({:.2}x)",
             rss_mem / (1 << 20),
             rss_lazy / (1 << 20),
             rss_mem as f64 / rss_lazy.max(1) as f64,
@@ -590,7 +574,6 @@ fn main() {
                 ("memory", memory),
                 ("mmap_eager", mmap_eager),
                 ("mmap_lazy", mmap_lazy),
-                ("mmap_lazy_noprefetch", mmap_nopf),
             ],
             cold,
         });

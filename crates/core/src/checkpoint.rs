@@ -7,7 +7,7 @@
 //! patches, the Increm-Infl frozen `w⁽⁰⁾` provenance, the DeltaGrad-L
 //! provenance trace with its replayable batch plan, the annotator RNG
 //! stream seed, and every finished [`RoundReport`] — such that
-//! [`crate::Pipeline::resume`] continues the loop **bit-identically** to
+//! [`crate::Pipeline::resume_latest`] continues the loop **bit-identically** to
 //! a run that was never interrupted (`tests/checkpoint_resume.rs` pins
 //! this; DESIGN.md §12 documents the guarantee).
 //!
@@ -862,7 +862,6 @@ mod tests {
                         hvp_evals: 12,
                         bound_hit_rate: 0.86,
                         kernel_path: "gemm".into(),
-                        kernel_backend: "reference".into(),
                         select_ms: 1.5,
                     },
                     ..RoundTelemetry::default()

@@ -213,16 +213,9 @@ impl IncremInfl {
         // of the provenance relative to one flat 0..n sweep.
         let bounds = data.shard_boundaries();
         let mut rows: Vec<ProvenanceRow> = Vec::with_capacity(n);
-        for (k, win) in bounds.windows(2).enumerate() {
+        for win in bounds.windows(2) {
             let (lo, hi) = (win[0], win[1]);
             data.advise_range(lo, hi);
-            // Let the store's background worker verify-and-warm the
-            // next shard while this one is swept (no-op on in-memory
-            // data or serial builds; the sweep's output is independent
-            // of whether the hint is honored).
-            if k + 2 < bounds.len() {
-                data.prefetch_upcoming(bounds[k + 1], bounds[k + 2]);
-            }
             #[cfg(feature = "parallel")]
             if hi - lo >= PAR_GRAIN && rayon::current_num_threads() > 1 {
                 use rayon::prelude::*;

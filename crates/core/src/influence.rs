@@ -518,12 +518,6 @@ pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
         }
         let (lo, hi) = (bounds[s], bounds[s + 1]);
         data.prefetch_rows(bucket);
-        // Hand the *next* populated shard to the store's background
-        // verify-and-warm worker (a no-op for in-memory data or serial
-        // builds) so its I/O overlaps this shard's scoring.
-        if let Some(t) = (s + 1..buckets.len()).find(|&t| !buckets[t].is_empty()) {
-            data.prefetch_upcoming(bounds[t], bounds[t + 1]);
-        }
         per_shard.push(rank_infl_top_b(model, data, w, v, bucket, gamma, b));
         data.advise_scanned(lo, hi);
     }

@@ -50,9 +50,8 @@ pub struct PipelineConfig {
     /// Durable checkpointing (DESIGN.md §12): when set, the loop writes a
     /// `checkpoint.v1` generation file every
     /// [`CheckpointConfig::every_rounds`] completed rounds, and
-    /// [`Pipeline::resume`] / [`Pipeline::resume_latest`] continue an
-    /// interrupted run bit-identically. `None` (the default) writes
-    /// nothing.
+    /// [`Pipeline::resume_latest`] continues an interrupted run
+    /// bit-identically. `None` (the default) writes nothing.
     pub checkpoint: Option<CheckpointConfig>,
     /// Deterministic fault injection (`fault-inject` feature only): the
     /// test harness's crash/torn-write/bit-flip/timeout schedule.
@@ -148,7 +147,7 @@ impl PipelineReport {
     }
 
     /// Accumulated selector time across rounds. After a
-    /// [`Pipeline::resume`], `rounds` includes the restored pre-crash
+    /// [`Pipeline::resume_latest`], `rounds` includes the restored pre-crash
     /// reports (durations persisted in the checkpoint), so this total
     /// covers the whole logical run, not just the resumed session.
     pub fn total_select_time(&self) -> Duration {
@@ -164,7 +163,7 @@ impl PipelineReport {
 
 /// A [`PipelineReport`] without the materialized `final_data` copy: the
 /// result of the store-generic entry points ([`Pipeline::run_store`],
-/// [`Pipeline::resume_store`]), which mutate the caller's
+/// [`Pipeline::resume_latest_store`]), which mutate the caller's
 /// [`DatasetStore`] in place. An out-of-core run at n = 10⁶ must not
 /// end by cloning a quarter-gigabyte of features into RAM; callers that
 /// do want an owned snapshot call [`DatasetStore::to_dataset`]
@@ -374,7 +373,10 @@ impl Pipeline {
         RoundLoop::new(self, model, data, val, test, selector, state)
     }
 
-    /// Resume an interrupted run from the checkpoint file at `path`.
+    /// Resume an interrupted run from the newest readable checkpoint
+    /// generation in `dir`, falling back over corrupt generations (each
+    /// fallback is counted in the `resume.corrupt_fallbacks` telemetry
+    /// counter).
     ///
     /// `data` must be the *pristine* training set the original run
     /// started from — the checkpoint's label patches are replayed onto
@@ -391,41 +393,6 @@ impl Pipeline {
     /// (`resume.rounds_skipped` counts them) so counters and the exported
     /// `rounds` array match an uninterrupted run; wall-clock histograms
     /// and spans only cover the resumed session.
-    pub fn resume(
-        &self,
-        model: &dyn Model,
-        mut data: Dataset,
-        val: &Dataset,
-        test: &Dataset,
-        selector: &mut dyn SampleSelector,
-        path: &Path,
-    ) -> Result<PipelineReport, CheckpointError> {
-        let out = self.resume_store(model, &mut data, val, test, selector, path)?;
-        Ok(out.into_report(data))
-    }
-
-    /// Storage-generic [`Self::resume`]: replays the checkpoint's label
-    /// patches onto `data` (which must be the pristine training store
-    /// the original run started from) and continues the loop in place.
-    /// `checkpoint.v1` stores row indices and label vectors only — no
-    /// feature bytes — so the same file resumes an in-memory run or an
-    /// out-of-core one interchangeably.
-    pub fn resume_store(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        path: &Path,
-    ) -> Result<StorePipelineReport, CheckpointError> {
-        let ckpt = Checkpoint::read_from(path)?;
-        self.resume_from(model, data, val, test, selector, ckpt, 0)
-    }
-
-    /// [`Self::resume`] from the newest readable generation in `dir`,
-    /// falling back over corrupt generations (each fallback is counted in
-    /// the `resume.corrupt_fallbacks` telemetry counter).
     pub fn resume_latest(
         &self,
         model: &dyn Model,
@@ -435,14 +402,16 @@ impl Pipeline {
         selector: &mut dyn SampleSelector,
         dir: &Path,
     ) -> Result<PipelineReport, CheckpointError> {
-        let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
-        let out = self.resume_from(model, &mut data, val, test, selector, ckpt, corrupt_skipped)?;
+        let out = self.resume_latest_store(model, &mut data, val, test, selector, dir)?;
         Ok(out.into_report(data))
     }
 
-    /// [`Self::resume_store`] from the newest readable generation in
-    /// `dir`, with the same corrupt-generation fallback as
-    /// [`Self::resume_latest`].
+    /// Storage-generic [`Self::resume_latest`]: replays the checkpoint's
+    /// label patches onto `data` (which must be the pristine training
+    /// store the original run started from) and continues the loop in
+    /// place. `checkpoint.v1` stores row indices and label vectors only —
+    /// no feature bytes — so the same generation resumes an in-memory
+    /// run or an out-of-core one interchangeably.
     pub fn resume_latest_store(
         &self,
         model: &dyn Model,
@@ -452,25 +421,8 @@ impl Pipeline {
         selector: &mut dyn SampleSelector,
         dir: &Path,
     ) -> Result<StorePipelineReport, CheckpointError> {
-        let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
-        self.resume_from(model, data, val, test, selector, ckpt, corrupt_skipped)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn resume_from(
-        &self,
-        model: &dyn Model,
-        data: &mut dyn DatasetStore,
-        val: &dyn DatasetStore,
-        test: &dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        ckpt: Checkpoint,
-        corrupt_skipped: usize,
-    ) -> Result<StorePipelineReport, CheckpointError> {
-        let state = self.restored_state(data, selector, ckpt, corrupt_skipped)?;
-        Ok(self.drive_sync(RoundLoop::new(
-            self, model, data, val, test, selector, state,
-        )))
+        let rl = self.resume_round_loop_latest(model, data, val, test, selector, dir)?;
+        Ok(self.drive_sync(rl))
     }
 
     /// Reattach a [`crate::SuspendedLoop`] to its resources and continue
@@ -497,7 +449,8 @@ impl Pipeline {
     /// behavior as [`Self::resume_latest`]): restores labels, selector
     /// provenance and telemetry, then returns the parked state machine
     /// for an external annotation source to drive. This is how a
-    /// `chef-serve` job picks up a killed tenant bit-identically.
+    /// `chef-serve` job picks up a killed tenant bit-identically, and
+    /// the prologue every resume entry point shares.
     pub fn resume_round_loop_latest<'a>(
         &'a self,
         model: &'a dyn Model,
@@ -508,22 +461,6 @@ impl Pipeline {
         dir: &Path,
     ) -> Result<RoundLoop<'a>, CheckpointError> {
         let (ckpt, _path, corrupt_skipped) = Checkpoint::latest_in_dir(dir)?;
-        let state = self.restored_state(data, selector, ckpt, corrupt_skipped)?;
-        Ok(RoundLoop::new(
-            self, model, data, val, test, selector, state,
-        ))
-    }
-
-    /// Validate a checkpoint against the config, replay its label
-    /// patches and telemetry, restore the selector, and rebuild the loop
-    /// state — the shared prologue of every resume entry point.
-    fn restored_state(
-        &self,
-        data: &mut dyn DatasetStore,
-        selector: &mut dyn SampleSelector,
-        ckpt: Checkpoint,
-        corrupt_skipped: usize,
-    ) -> Result<LoopState, CheckpointError> {
         let cfg = &self.cfg;
         if ckpt.annotation_seed != cfg.annotation.seed {
             return Err(CheckpointError::Mismatch(format!(
@@ -560,7 +497,7 @@ impl Pipeline {
             tel.set_gauge("pipeline.test_f1", last.test_f1);
         }
 
-        Ok(LoopState {
+        let state = LoopState {
             w_raw: ckpt.w_raw,
             w_eval: ckpt.w_eval,
             trace: ckpt.trace,
@@ -573,7 +510,10 @@ impl Pipeline {
             initial_val_f1: ckpt.initial_val_f1,
             initial_test_f1: ckpt.initial_test_f1,
             init_time: Duration::from_nanos(ckpt.init_ns),
-        })
+        };
+        Ok(RoundLoop::new(
+            self, model, data, val, test, selector, state,
+        ))
     }
 
     pub(crate) fn config(&self) -> &PipelineConfig {
@@ -587,7 +527,7 @@ impl Pipeline {
     }
 
     /// The synchronous annotation driver, shared by [`Self::run`] and
-    /// [`Self::resume`]: answers every batch the [`RoundLoop`] yields
+    /// [`Self::resume_latest`]: answers every batch the [`RoundLoop`] yields
     /// with the in-process simulated panel (or the injected whole-batch
     /// timeout), immediately. All loop mechanics live in the state
     /// machine itself.

@@ -10,7 +10,7 @@
 //! runs the model-constructor, evaluation, telemetry and checkpoint
 //! phases.
 //!
-//! The synchronous [`Pipeline::run`] / [`Pipeline::resume`] API is
+//! The synchronous [`Pipeline::run`] / [`Pipeline::resume_latest`] API is
 //! reimplemented *on top of* this machine — one code path — so a caller
 //! that answers every batch with
 //! [`AnnotationPhase::decide_batch`](crate::annotation::AnnotationPhase::decide_batch)
@@ -81,7 +81,7 @@ pub enum RoundStep {
 
 /// Everything the cleaning loop carries across rounds — by construction,
 /// exactly the state a [`crate::Checkpoint`] must persist for
-/// [`Pipeline::resume`] to continue bit-identically.
+/// [`Pipeline::resume_latest`] to continue bit-identically.
 pub(crate) struct LoopState {
     pub(crate) w_raw: Vec<f64>,
     pub(crate) w_eval: Vec<f64>,
@@ -118,7 +118,7 @@ struct PendingRound {
 /// job up next. Suspension is lossless — the loop's cross-round state,
 /// any outstanding batch's parked select-phase output, and the
 /// interrupt flag all travel along — and the constructor is rebuilt at
-/// reattach exactly as [`Pipeline::resume`] rebuilds it, which is
+/// reattach exactly as [`Pipeline::resume_latest`] rebuilds it, which is
 /// stateless (`ModelConstructor::update` is `&self`; all cross-round
 /// training state lives in the traveling loop state), so a
 /// suspended-and-reattached run is bit-identical to an uninterrupted
@@ -285,7 +285,6 @@ impl<'a> RoundLoop<'a> {
                 hvp_evals: ps.hvp_evals,
                 bound_hit_rate: ps.bound_hit_rate,
                 kernel_path: ps.kernel_path.to_string(),
-                kernel_backend: ps.kernel_backend.to_string(),
                 select_ms: select_time.as_secs_f64() * 1e3,
             },
             // Baselines report no cost counters; pool size is still known.
@@ -415,12 +414,6 @@ impl<'a> RoundLoop<'a> {
         };
         let update_time = update.elapsed;
         let train_kernel = self.model.scoring_kernel().name().to_string();
-        // The backend is a GEMM-panel property: meaningless (and
-        // omitted) on the per-sample fallback path.
-        let train_backend = match self.model.scoring_kernel() {
-            chef_model::KernelPath::Gemm => self.model.kernel_backend().name().to_string(),
-            chef_model::KernelPath::PerSample => String::new(),
-        };
         let constructor_tel = match (cfg.constructor, &update.stats) {
             (ConstructorKind::DeltaGradL(dg), Some(stats)) => ConstructorTelemetry {
                 kind: "deltagrad-l".to_string(),
@@ -430,7 +423,6 @@ impl<'a> RoundLoop<'a> {
                 lbfgs_history: dg.m0,
                 epochs: cfg.sgd.epochs,
                 kernel_path: train_kernel,
-                kernel_backend: train_backend,
                 update_ms: update_time.as_secs_f64() * 1e3,
             },
             _ => ConstructorTelemetry {
@@ -438,7 +430,6 @@ impl<'a> RoundLoop<'a> {
                 exact_steps: update.trace.plan.total_iterations(),
                 epochs: cfg.sgd.epochs,
                 kernel_path: train_kernel,
-                kernel_backend: train_backend,
                 update_ms: update_time.as_secs_f64() * 1e3,
                 ..ConstructorTelemetry::default()
             },
@@ -526,7 +517,6 @@ impl<'a> RoundLoop<'a> {
             tel.add("store.verify_ms", io.verify_ms);
             tel.add("store.blocks_verified", io.blocks_verified);
             tel.add("store.lazy_verify_hits", io.lazy_verify_hits);
-            tel.add("store.prefetch_overlap_ms", io.prefetch_overlap_ms);
         }
 
         StorePipelineReport {

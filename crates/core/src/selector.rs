@@ -71,11 +71,6 @@ pub struct SelectorStats {
     /// `"gemm"` for the batched closed form, `"per_sample"` for the
     /// generic fallback; empty when the selector doesn't report one).
     pub kernel_path: &'static str,
-    /// Which precision/ILP backend the GEMM panels ran on
-    /// ([`chef_linalg::KernelBackend::name`]: `"reference"`,
-    /// `"unrolled_f64"` or `"mixed_f32"`; empty when the kernel path is
-    /// not `"gemm"` — the per-sample fallback has no panel kernel).
-    pub kernel_backend: &'static str,
     /// CG iterations the warm start saved this round, estimated against
     /// the selector's most recent *cold* solve (0 on cold rounds and
     /// whenever warm starting is off). Live telemetry only — never
@@ -286,10 +281,6 @@ impl SampleSelector for InflSelector {
             bound_hit_rate: pruned as f64 / pool.max(1) as f64,
             provenance_grads,
             kernel_path: ctx.model.scoring_kernel().name(),
-            kernel_backend: match ctx.model.scoring_kernel() {
-                chef_model::KernelPath::Gemm => ctx.model.kernel_backend().name(),
-                chef_model::KernelPath::PerSample => "",
-            },
             cg_iters_saved,
         });
         scores

@@ -25,9 +25,8 @@
 //! `store.v2` directory carrying per-block checksums) that
 //! [`MmapStore`] serves back through `chef_model::DatasetStore` with
 //! features memory-mapped instead of heap-allocated, integrity
-//! verification eager, first-touch-lazy or off per [`IntegrityMode`],
-//! and an optional background verify-and-warm prefetch thread
-//! (`parallel` feature; DESIGN.md §15).
+//! verification eager or first-touch-lazy per [`IntegrityMode`]
+//! (DESIGN.md §15).
 
 #![warn(missing_docs)]
 

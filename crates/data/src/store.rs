@@ -58,15 +58,11 @@
 //!   panics with the [`StoreError::Corrupt`] rendering; the fallible
 //!   twins [`MmapStore::verify_rows`] / [`MmapStore::verify_all`]
 //!   surface the error value itself.
-//! * [`Off`](IntegrityMode::Off) — sizes checked, checksums skipped.
 //!
-//! On top of lazy verification sits an optional **background prefetch
-//! pipeline** (`parallel` feature): a single worker thread that
-//! verifies-and-warms the next residency window (`madvise(WILLNEED)`)
-//! while the selector scores the current one. The worker mutates no
-//! visible data — it only flips verification bits (idempotent) and
-//! issues advisory hints — so scored results are bit-identical with the
-//! prefetcher on or off, serial or parallel. See DESIGN.md §15.
+//! Verification and residency hints run on the reading thread only: the
+//! access path that consumes a block is the one that checksums it, so
+//! scored results are bit-identical serial or parallel, eager or lazy.
+//! See DESIGN.md §15.
 
 use chef_model::{DatasetStore, SoftLabel, StoreIoStats};
 use memmap::Mmap;
@@ -76,7 +72,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Version line of first-generation manifests (whole-shard checksums).
@@ -675,7 +671,7 @@ fn decode_labels(buf: &[u8], n: usize, num_classes: usize) -> Result<DecodedLabe
 }
 
 /// When shard checksums are verified. File sizes are checked at open
-/// regardless of mode, and `labels.bin` (O(n), RAM-resident anyway) is
+/// in both modes, and `labels.bin` (O(n), RAM-resident anyway) is
 /// always verified at open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntegrityMode {
@@ -686,8 +682,6 @@ pub enum IntegrityMode {
     /// path. Cold-open is O(touched bytes); a corrupt block surfaces
     /// the moment something reads it.
     LazyFirstTouch,
-    /// Skip checksum verification entirely.
-    Off,
 }
 
 /// How an [`MmapStore`] opens its shards.
@@ -703,11 +697,6 @@ pub struct StoreOptions {
     /// When shard checksums are verified (default: [`IntegrityMode::Eager`],
     /// matching the historical open-time behaviour).
     pub integrity: IntegrityMode,
-    /// Spawn the background verify-and-warm prefetch thread serving
-    /// [`DatasetStore::prefetch_upcoming`] hints (`parallel` feature
-    /// only; ignored — the serial twin is the synchronous access path —
-    /// when the feature is off).
-    pub background_prefetch: bool,
 }
 
 impl Default for StoreOptions {
@@ -716,7 +705,6 @@ impl Default for StoreOptions {
             residency_chunks: 32,
             force_pread: false,
             integrity: IntegrityMode::Eager,
-            background_prefetch: true,
         }
     }
 }
@@ -751,21 +739,6 @@ enum ChunkData {
 /// ```
 #[derive(Debug)]
 pub struct MmapStore {
-    core: Arc<StoreCore>,
-    labels: Vec<SoftLabel>,
-    clean: Vec<bool>,
-    truth: Vec<Option<usize>>,
-    #[cfg(feature = "parallel")]
-    prefetcher: Option<Prefetcher>,
-}
-
-/// The shared, immutable-after-open part of an [`MmapStore`]: shard
-/// data, residency tracking, lazy-verification state and I/O counters.
-/// Lives behind an `Arc` so the background prefetch thread can hold it
-/// without borrowing from the store (label columns stay outside — the
-/// cleaning loop mutates them and the prefetcher never needs them).
-#[derive(Debug)]
-struct StoreCore {
     manifest: Manifest,
     data: Vec<ChunkData>,
     // Queue of chunk indices currently hinted resident, oldest first.
@@ -778,15 +751,18 @@ struct StoreCore {
     last_touched: AtomicUsize,
     residency_chunks: usize,
     // First-touch verification state; `None` under Eager (already
-    // verified at open) and Off (verification disabled), so the
-    // access-path check is a single Option discriminant load.
+    // verified at open), so the access-path check is a single Option
+    // discriminant load.
     verify: Option<LazyVerify>,
     // Once a corrupt block is seen the whole store is poisoned: every
     // subsequent verified access fails with the same message, whichever
-    // thread (reader or prefetcher) found the corruption first.
+    // reader thread found the corruption first.
     poisoned: AtomicBool,
     poison_msg: Mutex<Option<String>>,
     stats: IoCounters,
+    labels: Vec<SoftLabel>,
+    clean: Vec<bool>,
+    truth: Vec<Option<usize>>,
 }
 
 /// Per-shard atomic bitmaps recording which verification blocks have
@@ -805,7 +781,6 @@ struct IoCounters {
     verify_ns: AtomicU64,
     blocks_verified: AtomicU64,
     lazy_verify_hits: AtomicU64,
-    prefetch_overlap_ns: AtomicU64,
 }
 
 impl IoCounters {
@@ -814,77 +789,6 @@ impl IoCounters {
             verify_ms: self.verify_ns.load(Ordering::Relaxed) / 1_000_000,
             blocks_verified: self.blocks_verified.load(Ordering::Relaxed),
             lazy_verify_hits: self.lazy_verify_hits.load(Ordering::Relaxed),
-            prefetch_overlap_ms: self.prefetch_overlap_ns.load(Ordering::Relaxed) / 1_000_000,
-        }
-    }
-}
-
-/// Handle to the background verify-and-warm thread. Requests are
-/// coalesced (only the newest window matters); dropping the handle
-/// closes the channel and joins the worker.
-#[cfg(feature = "parallel")]
-#[derive(Debug)]
-struct Prefetcher {
-    tx: Option<std::sync::mpsc::Sender<(usize, usize)>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-#[cfg(feature = "parallel")]
-impl Prefetcher {
-    fn spawn(core: Arc<StoreCore>) -> Prefetcher {
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, usize)>();
-        let handle = std::thread::Builder::new()
-            .name("chef-store-prefetch".into())
-            .spawn(move || {
-                while let Ok(mut win) = rx.recv() {
-                    // Coalesce a backlog down to the newest request —
-                    // the selector has already moved past older windows.
-                    while let Ok(next) = rx.try_recv() {
-                        win = next;
-                    }
-                    let t0 = Instant::now();
-                    let hi = win.1.min(core.data.len());
-                    for c in win.0..hi {
-                        if core.poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Verify-and-warm. A corrupt block poisons the
-                        // core (inside verify_block); the next verified
-                        // access on the scoring thread surfaces it.
-                        if core.verify_chunk(c).is_err() {
-                            break;
-                        }
-                        if let ChunkData::Mapped(m) = &core.data[c] {
-                            m.advise_willneed(0, m.len());
-                        }
-                    }
-                    core.stats
-                        .prefetch_overlap_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            })
-            .expect("failed to spawn chef-store-prefetch thread");
-        Prefetcher {
-            tx: Some(tx),
-            handle: Some(handle),
-        }
-    }
-
-    fn request(&self, chunk_lo: usize, chunk_hi: usize) {
-        if let Some(tx) = &self.tx {
-            // A send error means the worker already exited (poisoned
-            // store); the hint is best-effort either way.
-            let _ = tx.send((chunk_lo, chunk_hi));
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
         }
     }
 }
@@ -1017,7 +921,7 @@ impl MmapStore {
         let stats = IoCounters::default();
         stats.verify_ns.store(open_verify_ns, Ordering::Relaxed);
         stats.blocks_verified.store(open_blocks, Ordering::Relaxed);
-        let core = Arc::new(StoreCore {
+        Ok(MmapStore {
             manifest,
             data,
             resident: Mutex::new(VecDeque::new()),
@@ -1027,45 +931,34 @@ impl MmapStore {
             poisoned: AtomicBool::new(false),
             poison_msg: Mutex::new(None),
             stats,
-        });
-        #[cfg(feature = "parallel")]
-        let prefetcher = opts
-            .background_prefetch
-            .then(|| Prefetcher::spawn(Arc::clone(&core)));
-        #[cfg(not(feature = "parallel"))]
-        let _ = opts.background_prefetch;
-        Ok(MmapStore {
-            core,
             labels,
             clean,
             truth,
-            #[cfg(feature = "parallel")]
-            prefetcher,
         })
     }
 
     /// The parsed manifest this store was opened from.
     pub fn manifest(&self) -> &Manifest {
-        &self.core.manifest
+        &self.manifest
     }
 
     /// Verify (first-touch) every not-yet-verified block covering rows
     /// `lo..hi`, returning the corruption instead of panicking. A no-op
-    /// under [`IntegrityMode::Eager`] / [`IntegrityMode::Off`].
+    /// under [`IntegrityMode::Eager`].
     pub fn verify_rows(&self, lo: usize, hi: usize) -> Result<(), StoreError> {
         assert!(
-            lo <= hi && hi <= self.core.manifest.n,
+            lo <= hi && hi <= self.manifest.n,
             "bad row range {lo}..{hi}"
         );
         if lo == hi {
             return Ok(());
         }
-        let d8 = self.core.manifest.dim * 8;
-        let rows_per = self.core.manifest.chunk_rows;
-        for c in self.core.chunk_of(lo)..=self.core.chunk_of(hi - 1) {
+        let d8 = self.manifest.dim * 8;
+        let rows_per = self.manifest.chunk_rows;
+        for c in self.chunk_of(lo)..=self.chunk_of(hi - 1) {
             let c_lo = lo.max(c * rows_per) - c * rows_per;
             let c_hi = hi.min((c + 1) * rows_per) - c * rows_per;
-            self.core.ensure_bytes_verified(c, c_lo * d8, c_hi * d8)?;
+            self.ensure_bytes_verified(c, c_lo * d8, c_hi * d8)?;
         }
         Ok(())
     }
@@ -1073,14 +966,12 @@ impl MmapStore {
     /// Verify every not-yet-verified block in the store (fallible twin
     /// of an eager open, usable after a lazy one).
     pub fn verify_all(&self) -> Result<(), StoreError> {
-        for c in 0..self.core.data.len() {
-            self.core.verify_chunk(c)?;
+        for (c, meta) in self.manifest.chunks.iter().enumerate() {
+            self.ensure_bytes_verified(c, 0, meta.bytes as usize)?;
         }
         Ok(())
     }
-}
 
-impl StoreCore {
     /// The `&[f64]` view of shard `c`.
     fn chunk_floats(&self, c: usize) -> &[f64] {
         match &self.data[c] {
@@ -1148,12 +1039,6 @@ impl StoreCore {
             self.verify_block(c, b)?;
         }
         Ok(())
-    }
-
-    /// Verify every block of shard `c` (bitmap-skipping ones already
-    /// done).
-    fn verify_chunk(&self, c: usize) -> Result<(), StoreError> {
-        self.ensure_bytes_verified(c, 0, self.manifest.chunks[c].bytes as usize)
     }
 
     /// Checksum one block against the manifest table, set its bitmap
@@ -1260,37 +1145,35 @@ impl StoreCore {
 
 impl DatasetStore for MmapStore {
     fn len(&self) -> usize {
-        self.core.manifest.n
+        self.manifest.n
     }
 
     fn dim(&self) -> usize {
-        self.core.manifest.dim
+        self.manifest.dim
     }
 
     fn num_classes(&self) -> usize {
-        self.core.manifest.num_classes
+        self.manifest.num_classes
     }
 
     fn feature(&self, i: usize) -> &[f64] {
-        let core = &*self.core;
-        assert!(i < core.manifest.n, "row {i} out of bounds");
-        let c = core.chunk_of(i);
-        let r = i - c * core.manifest.chunk_rows;
-        let d = core.manifest.dim;
+        assert!(i < self.manifest.n, "row {i} out of bounds");
+        let c = self.chunk_of(i);
+        let r = i - c * self.manifest.chunk_rows;
+        let d = self.manifest.dim;
         // First-touch integrity: &[f64] cannot carry a Result, so a
         // corrupt block aborts the read with the StoreError rendering
         // (the fallible twin is MmapStore::verify_rows).
-        if let Err(e) = core.ensure_bytes_verified(c, r * d * 8, (r + 1) * d * 8) {
+        if let Err(e) = self.ensure_bytes_verified(c, r * d * 8, (r + 1) * d * 8) {
             panic!("{e}");
         }
-        core.note_chunk_access(c);
-        &core.chunk_floats(c)[r * d..(r + 1) * d]
+        self.note_chunk_access(c);
+        &self.chunk_floats(c)[r * d..(r + 1) * d]
     }
 
     fn feature_rows(&self, lo: usize, hi: usize) -> &[f64] {
-        let core = &*self.core;
         assert!(
-            lo <= hi && hi <= core.manifest.n,
+            lo <= hi && hi <= self.manifest.n,
             "bad row range {lo}..{hi}"
         );
         assert!(
@@ -1298,23 +1181,23 @@ impl DatasetStore for MmapStore {
             "feature_rows({lo}, {hi}) crosses a shard boundary; \
              callers must respect contiguous_limit"
         );
-        let c = core.chunk_of(lo);
-        let r = lo - c * core.manifest.chunk_rows;
-        let d = core.manifest.dim;
-        if let Err(e) = core.ensure_bytes_verified(c, r * d * 8, (r + (hi - lo)) * d * 8) {
+        let c = self.chunk_of(lo);
+        let r = lo - c * self.manifest.chunk_rows;
+        let d = self.manifest.dim;
+        if let Err(e) = self.ensure_bytes_verified(c, r * d * 8, (r + (hi - lo)) * d * 8) {
             panic!("{e}");
         }
-        core.note_chunk_access(c);
-        &core.chunk_floats(c)[r * d..(r + (hi - lo)) * d]
+        self.note_chunk_access(c);
+        &self.chunk_floats(c)[r * d..(r + (hi - lo)) * d]
     }
 
     fn contiguous_limit(&self, lo: usize) -> usize {
-        ((self.core.chunk_of(lo) + 1) * self.core.manifest.chunk_rows).min(self.core.manifest.n)
+        ((self.chunk_of(lo) + 1) * self.manifest.chunk_rows).min(self.manifest.n)
     }
 
     fn shard_boundaries(&self) -> Vec<usize> {
-        (0..=self.core.data.len())
-            .map(|c| (c * self.core.manifest.chunk_rows).min(self.core.manifest.n))
+        (0..=self.data.len())
+            .map(|c| (c * self.manifest.chunk_rows).min(self.manifest.n))
             .collect()
     }
 
@@ -1331,13 +1214,13 @@ impl DatasetStore for MmapStore {
     }
 
     fn clean_label(&mut self, i: usize, label: SoftLabel) {
-        assert_eq!(label.num_classes(), self.core.manifest.num_classes);
+        assert_eq!(label.num_classes(), self.manifest.num_classes);
         self.labels[i] = label;
         self.clean[i] = true;
     }
 
     fn set_label(&mut self, i: usize, label: SoftLabel) {
-        assert_eq!(label.num_classes(), self.core.manifest.num_classes);
+        assert_eq!(label.num_classes(), self.manifest.num_classes);
         self.labels[i] = label;
     }
 
@@ -1349,52 +1232,34 @@ impl DatasetStore for MmapStore {
         // prefetch_rows is an access path: the caller is about to read
         // these rows, so first-touch verification happens here (and the
         // later reads hit the bitmap).
-        let core = &*self.core;
-        let d8 = core.manifest.dim * 8;
-        let rows_per = core.manifest.chunk_rows;
+        let d8 = self.manifest.dim * 8;
+        let rows_per = self.manifest.chunk_rows;
         for i in rows {
-            let c = core.chunk_of(*i);
+            let c = self.chunk_of(*i);
             let r = i - c * rows_per;
-            if let Err(e) = core.ensure_bytes_verified(c, r * d8, (r + 1) * d8) {
+            if let Err(e) = self.ensure_bytes_verified(c, r * d8, (r + 1) * d8) {
                 panic!("{e}");
             }
         }
-        core.touch_chunks(core.chunks_of_rows(rows).into_iter());
+        self.touch_chunks(self.chunks_of_rows(rows).into_iter());
     }
 
     fn advise_range(&self, lo: usize, hi: usize) {
         if lo >= hi {
             return;
         }
-        self.core
-            .touch_chunks(self.core.chunk_of(lo)..=self.core.chunk_of(hi - 1));
+        self.touch_chunks(self.chunk_of(lo)..=self.chunk_of(hi - 1));
     }
 
     fn advise_scanned(&self, lo: usize, hi: usize) {
         if lo >= hi {
             return;
         }
-        self.core
-            .release_chunks(self.core.chunk_of(lo)..=self.core.chunk_of(hi - 1));
-    }
-
-    fn prefetch_upcoming(&self, lo: usize, hi: usize) {
-        #[cfg(feature = "parallel")]
-        {
-            if lo < hi {
-                if let Some(p) = &self.prefetcher {
-                    p.request(self.core.chunk_of(lo), self.core.chunk_of(hi - 1) + 1);
-                }
-            }
-        }
-        // Serial twin: no worker to hand the window to — the access
-        // path verifies on first touch exactly as before the hint.
-        #[cfg(not(feature = "parallel"))]
-        let _ = (lo, hi);
+        self.release_chunks(self.chunk_of(lo)..=self.chunk_of(hi - 1));
     }
 
     fn io_stats(&self) -> Option<StoreIoStats> {
-        Some(self.core.stats.snapshot())
+        Some(self.stats.snapshot())
     }
 }
 
@@ -1589,11 +1454,7 @@ mod tests {
         };
         fs::write(dir.join(MANIFEST_FILE), m1.render()).unwrap();
         fs::remove_file(dir.join(MANIFEST_FILE_V2)).unwrap();
-        for integrity in [
-            IntegrityMode::Eager,
-            IntegrityMode::LazyFirstTouch,
-            IntegrityMode::Off,
-        ] {
+        for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
             let store = MmapStore::open_with(
                 &dir,
                 StoreOptions {
@@ -1658,7 +1519,6 @@ mod tests {
             &dir,
             StoreOptions {
                 integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: false,
                 ..StoreOptions::default()
             },
         )
@@ -1676,7 +1536,6 @@ mod tests {
             &dir,
             StoreOptions {
                 integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: false,
                 ..StoreOptions::default()
             },
         )
@@ -1724,7 +1583,6 @@ mod tests {
             &dir,
             StoreOptions {
                 integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: false,
                 ..StoreOptions::default()
             },
         )
@@ -1744,33 +1602,6 @@ mod tests {
             store.verify_rows(0, 6),
             Err(StoreError::Corrupt(_))
         ));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn background_prefetcher_warms_without_changing_data() {
-        let dir = tmp_dir("prefetch");
-        let data = fixture(40, 3);
-        write_store(&data, &dir, 8).unwrap();
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: true,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        store.prefetch_upcoming(8, 24); // shards 1..3
-        store.prefetch_upcoming(24, 40); // coalesces/queues behind it
-        for i in 0..40 {
-            assert_eq!(store.feature(i), data.feature(i));
-        }
-        store.verify_all().unwrap();
-        let stats = store.io_stats().unwrap();
-        assert_eq!(stats.blocks_verified, 5, "prefetch + reads share bitmap");
-        drop(store); // joins the worker
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1800,16 +1631,6 @@ mod tests {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected checksum error, got {other:?}"),
         }
-        // With verification off the torn shard goes undetected — which
-        // is exactly why integrity defaults to Eager.
-        assert!(MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::Off,
-                ..StoreOptions::default()
-            }
-        )
-        .is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 

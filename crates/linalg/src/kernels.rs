@@ -37,57 +37,7 @@ pub const ROW_BLOCK: usize = 64;
 #[cfg(feature = "parallel")]
 const PAR_GRAIN_ROWS: usize = 256;
 
-/// Precision/ILP backend for the blocked panel kernels.
-///
-/// Every batched model entry point (`score_block`/`grad_block`/
-/// `hvp_block` in chef-model) bottoms out in an affine panel product;
-/// this enum selects which microkernel computes it. The numerics
-/// contract per backend (DESIGN.md §14):
-///
-/// * [`KernelBackend::Reference`] — today's scalar-f64 kernels,
-///   **bit-identical** to the pre-backend code paths (score/HVP panels
-///   through [`affine_nt`], the gradient forward panel through
-///   [`affine_nt_unrolled`], exactly as before).
-/// * [`KernelBackend::UnrolledF64`] — every panel through the 4-lane
-///   ILP [`affine_nt_unrolled`]. Deterministic and machine-independent,
-///   agrees with `Reference` to ≤1e-10 relative (bit-identical on the
-///   gradient panel, where `Reference` already runs unrolled).
-/// * [`KernelBackend::MixedF32`] — operands demoted to f32 panels, dot
-///   products accumulated in f32 within [`F32_SEGMENT`]-element
-///   segments and in f64 across segment boundaries
-///   ([`affine_nt_mixed_f32`]). Deterministic, agrees with `Reference`
-///   to ≤1e-4 relative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelBackend {
-    /// Scalar-f64 reference kernels (bit-identical to the pre-backend
-    /// code paths; the only backend the committed goldens pin).
-    #[default]
-    Reference,
-    /// Explicitly ILP-unrolled f64 microkernel on every panel.
-    UnrolledF64,
-    /// f32 panels with f64 accumulation at segment boundaries.
-    MixedF32,
-}
-
-impl KernelBackend {
-    /// Stable lowercase name used in telemetry documents.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Reference => "reference",
-            KernelBackend::UnrolledF64 => "unrolled_f64",
-            KernelBackend::MixedF32 => "mixed_f32",
-        }
-    }
-
-    /// Every backend, for equivalence tests and bench sweeps.
-    pub const ALL: [KernelBackend; 3] = [
-        KernelBackend::Reference,
-        KernelBackend::UnrolledF64,
-        KernelBackend::MixedF32,
-    ];
-}
-
-/// Most buffers the pool retains (per element type). Hot loops hold at
+/// Most buffers the pool retains. Hot loops hold at
 /// most a handful of panels at once, so anything past this is churn —
 /// overflow evicts the smallest-capacity entry rather than growing
 /// without bound.
@@ -96,7 +46,7 @@ const MAX_POOLED: usize = 16;
 /// Pick the pooled buffer whose capacity fits `len` best: the smallest
 /// capacity ≥ `len`, else the largest available (it is the cheapest to
 /// grow). An empty pool hands back a fresh `Vec`.
-fn best_fit<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+fn best_fit(pool: &mut Vec<Vec<f64>>, len: usize) -> Vec<f64> {
     if pool.is_empty() {
         return Vec::new();
     }
@@ -117,7 +67,7 @@ fn best_fit<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
 /// Return `buf` to `pool`, evicting the smallest-capacity entry when the
 /// pool is full (keep the larger of the two — large panels are the
 /// expensive allocations the pool exists to retain).
-fn put_back<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
+fn put_back(pool: &mut Vec<Vec<f64>>, buf: Vec<f64>) {
     if pool.len() < MAX_POOLED {
         pool.push(buf);
         return;
@@ -141,9 +91,7 @@ fn put_back<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
 /// `MAX_POOLED` (16) buffers, evicting the smallest on overflow.
 ///
 /// Buffers returned by [`Workspace::take`] are zero-filled, so callers
-/// can accumulate into them directly. A separate f32 pool
-/// ([`Workspace::take_f32_from`]) backs the mixed-precision backend's
-/// demoted panels.
+/// can accumulate into them directly.
 ///
 /// ```
 /// use chef_linalg::Workspace;
@@ -158,7 +106,6 @@ fn put_back<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
 #[derive(Debug, Default)]
 pub struct Workspace {
     pool: Vec<Vec<f64>>,
-    pool_f32: Vec<Vec<f32>>,
 }
 
 impl Workspace {
@@ -194,21 +141,6 @@ impl Workspace {
     /// Return a buffer to the pool for reuse.
     pub fn put(&mut self, buf: Vec<f64>) {
         put_back(&mut self.pool, buf);
-    }
-
-    /// Borrow an f32 buffer holding `src` demoted element-wise — the
-    /// operand conversion of the [`KernelBackend::MixedF32`] panels,
-    /// allocation-free after warm-up like the f64 pool.
-    pub fn take_f32_from(&mut self, src: &[f64]) -> Vec<f32> {
-        let mut buf = best_fit(&mut self.pool_f32, src.len());
-        buf.clear();
-        buf.extend(src.iter().map(|&v| v as f32));
-        buf
-    }
-
-    /// Return an f32 buffer to the pool for reuse.
-    pub fn put_f32(&mut self, buf: Vec<f32>) {
-        put_back(&mut self.pool_f32, buf);
     }
 }
 
@@ -402,83 +334,6 @@ pub fn affine_nt_unrolled(x: &[f64], wb: &[f64], d: usize, out: &mut [f64]) {
     }
 }
 
-/// Elements accumulated in f32 before spilling the partial sum to f64
-/// in [`dot_mixed_f32`]. 64 f32 multiply-adds keep the relative
-/// rounding error of a segment near 64·2⁻²⁴ ≈ 4e-6, well inside the
-/// backend's documented ≤1e-4 contract, while keeping the f64 promotes
-/// off the hot inner loop.
-pub const F32_SEGMENT: usize = 64;
-
-/// Dot product over demoted f32 operands with f64 segment accumulation:
-/// within each [`F32_SEGMENT`]-element segment the products accumulate
-/// in four independent f32 lanes (the [`dot_unrolled`] association),
-/// and each segment's sum is promoted and added into an f64 total. The
-/// association is fixed by the code, so results are deterministic and
-/// machine-independent.
-#[inline]
-pub fn dot_mixed_f32(x: &[f32], y: &[f32]) -> f64 {
-    debug_assert_eq!(x.len(), y.len(), "dot_mixed_f32: length mismatch");
-    let mut total = 0.0f64;
-    for (xs, ys) in x.chunks(F32_SEGMENT).zip(y.chunks(F32_SEGMENT)) {
-        let mut s0 = 0.0f32;
-        let mut s1 = 0.0f32;
-        let mut s2 = 0.0f32;
-        let mut s3 = 0.0f32;
-        let xc = xs.chunks_exact(4);
-        let yc = ys.chunks_exact(4);
-        let (xr, yr) = (xc.remainder(), yc.remainder());
-        for (xq, yq) in xc.zip(yc) {
-            s0 += xq[0] * yq[0];
-            s1 += xq[1] * yq[1];
-            s2 += xq[2] * yq[2];
-            s3 += xq[3] * yq[3];
-        }
-        for (a, b) in xr.iter().zip(yr) {
-            s0 += a * b;
-        }
-        total += ((s0 + s1) + (s2 + s3)) as f64;
-    }
-    total
-}
-
-/// [`affine_nt`] over pre-demoted f32 operands with f64 segment
-/// accumulation ([`dot_mixed_f32`]); the demoted bias is promoted back
-/// and added in f64, and `out` stays f64. This is the panel kernel of
-/// [`KernelBackend::MixedF32`]: callers demote `x`/`wb` once per block
-/// via [`Workspace::take_f32_from`], halving the streamed panel bytes.
-///
-/// # Panics
-/// Panics on shape mismatches (`d = 0` is rejected).
-pub fn affine_nt_mixed_f32(x: &[f32], wb: &[f32], d: usize, out: &mut [f64]) {
-    assert!(d > 0, "affine_nt_mixed_f32: d must be positive");
-    assert_eq!(
-        x.len() % d,
-        0,
-        "affine_nt_mixed_f32: x length not a multiple of d"
-    );
-    let cols = d + 1;
-    assert_eq!(
-        wb.len() % cols,
-        0,
-        "affine_nt_mixed_f32: wb length not a multiple of d+1"
-    );
-    let rows = x.len() / d;
-    let c_rows = wb.len() / cols;
-    assert_eq!(
-        out.len(),
-        rows * c_rows,
-        "affine_nt_mixed_f32: out shape mismatch"
-    );
-    for i in 0..rows {
-        let xrow = &x[i * d..(i + 1) * d];
-        let orow = &mut out[i * c_rows..(i + 1) * c_rows];
-        for (c, o) in orow.iter_mut().enumerate() {
-            let wrow = &wb[c * cols..(c + 1) * cols];
-            *o = dot_mixed_f32(xrow, &wrow[..d]) + wrow[d] as f64;
-        }
-    }
-}
-
 /// Gathered block matvec: `out[r] = dot(a[rows[r]*k ..][..k], x)` — one
 /// dot product per *selected* row of the row-major matrix `a`, without
 /// copying the gathered rows. This is the Increm-Infl bound pass's
@@ -648,18 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_f32_pool_demotes_and_recycles() {
-        let mut ws = Workspace::new();
-        let buf = ws.take_f32_from(&[1.5, -2.25, 3.0]);
-        assert_eq!(buf, vec![1.5f32, -2.25, 3.0]);
-        let cap = buf.capacity();
-        ws.put_f32(buf);
-        let again = ws.take_f32_from(&[4.0, 5.0]);
-        assert_eq!(again, vec![4.0f32, 5.0]);
-        assert_eq!(again.capacity(), cap, "f32 buffer not recycled");
-    }
-
-    #[test]
     fn matmul_nt_known_values() {
         // A = [[1,2],[3,4],[5,6]], B = [[1,0],[0,1],[1,1]] → A·Bᵀ.
         let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -769,59 +612,6 @@ mod tests {
             affine_nt_unrolled(&x, &wb, d, &mut fast);
             for (a, b) in plain.iter().zip(&fast) {
                 assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn dot_mixed_f32_tracks_f64_dot() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        for len in [0, 1, 3, 4, 63, 64, 65, 130, 257] {
-            let x = rand_vec(len, &mut rng);
-            let y = rand_vec(len, &mut rng);
-            let exact = crate::vector::dot(&x, &y);
-            let xf: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-            let yf: Vec<f32> = y.iter().map(|&v| v as f32).collect();
-            let mixed = dot_mixed_f32(&xf, &yf);
-            // Demotion alone costs ~2⁻²⁴ per operand; 1e-4 is the
-            // documented backend contract, comfortably above it.
-            let scale: f64 = x.iter().zip(&y).map(|(a, b)| (a * b).abs()).sum();
-            assert!(
-                (mixed - exact).abs() <= 1e-4 * scale.max(1.0),
-                "len {len}: {mixed} vs {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn dot_mixed_f32_is_deterministic() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let x: Vec<f32> = (0..200).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
-        let y: Vec<f32> = (0..200).map(|_| rng.gen_range(-1.0..1.0) as f32).collect();
-        assert_eq!(
-            dot_mixed_f32(&x, &y).to_bits(),
-            dot_mixed_f32(&x, &y).to_bits()
-        );
-    }
-
-    #[test]
-    fn affine_mixed_f32_matches_affine_to_backend_tolerance() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        for (rows, c, d) in [(1, 2, 1), (33, 3, 5), (70, 4, 32), (9, 2, 130)] {
-            let x = rand_vec(rows * d, &mut rng);
-            let wb = rand_vec(c * (d + 1), &mut rng);
-            let mut exact = vec![0.0; rows * c];
-            affine_nt(&x, &wb, d, &mut exact);
-            let mut ws = Workspace::new();
-            let xf = ws.take_f32_from(&x);
-            let wbf = ws.take_f32_from(&wb);
-            let mut mixed = vec![0.0; rows * c];
-            affine_nt_mixed_f32(&xf, &wbf, d, &mut mixed);
-            for (a, b) in exact.iter().zip(&mixed) {
-                assert!(
-                    (a - b).abs() <= 1e-4 * a.abs().max(1.0),
-                    "{rows}x{c}x{d}: {a} vs {b}"
-                );
             }
         }
     }

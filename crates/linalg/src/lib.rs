@@ -31,7 +31,7 @@ pub mod stats;
 pub mod vector;
 
 pub use cg::{conjugate_gradient, conjugate_gradient_from, CgConfig, CgOutcome, LinearOperator};
-pub use kernels::{KernelBackend, Workspace};
+pub use kernels::Workspace;
 pub use lbfgs::LbfgsBuffer;
 pub use matrix::Matrix;
 pub use power::{power_method, PowerConfig, PowerOutcome};

@@ -66,11 +66,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn hot_iteration(ws: &mut Workspace) -> f64 {
     let small = ws.take_uninit(8);
     let big = ws.take_uninit(64 * 64);
-    let small_f32 = ws.take_f32_from(&small);
-    let acc = small.iter().sum::<f64>()
-        + big.iter().take(4).sum::<f64>()
-        + small_f32.iter().sum::<f32>() as f64;
-    ws.put_f32(small_f32);
+    let acc = small.iter().sum::<f64>() + big.iter().take(4).sum::<f64>();
     ws.put(small);
     ws.put(big);
     acc

@@ -37,7 +37,6 @@ pub mod model;
 pub mod objective;
 pub mod store;
 
-pub use chef_linalg::KernelBackend;
 pub use dataset::Dataset;
 pub use label::SoftLabel;
 pub use logreg::LogisticRegression;

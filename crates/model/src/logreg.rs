@@ -23,7 +23,7 @@ use crate::label::SoftLabel;
 use crate::model::{KernelPath, Model};
 use crate::store::DatasetStore;
 use chef_linalg::power::{power_method, PowerConfig};
-use chef_linalg::{kernels, vector, KernelBackend, Matrix, Workspace};
+use chef_linalg::{kernels, vector, Matrix, Workspace};
 
 /// Samples per block in the batched [`Model::hvp_block`] override —
 /// keeps one block's gathered features plus its `P`/`U` panels inside
@@ -39,33 +39,17 @@ const GRAD_BLOCK: usize = 256;
 pub struct LogisticRegression {
     dim: usize,
     num_classes: usize,
-    backend: KernelBackend,
 }
 
 impl LogisticRegression {
-    /// Create a model description (parameters live outside the model)
-    /// on the bit-identical [`KernelBackend::Reference`] panels.
+    /// Create a model description (parameters live outside the model).
     ///
     /// # Panics
     /// Panics unless `dim ≥ 1` and `num_classes ≥ 2`.
     pub fn new(dim: usize, num_classes: usize) -> Self {
         assert!(dim >= 1, "LogisticRegression: dim must be ≥ 1");
         assert!(num_classes >= 2, "LogisticRegression: need ≥ 2 classes");
-        Self {
-            dim,
-            num_classes,
-            backend: KernelBackend::Reference,
-        }
-    }
-
-    /// Select the precision/ILP backend for the batched GEMM panels.
-    /// Only the block entry points (`score_block`/`grad_block`/
-    /// `hvp_block`) dispatch on it; the per-sample closed forms are
-    /// backend-independent (see the numerics contract on
-    /// [`KernelBackend`]).
-    pub fn with_backend(mut self, backend: KernelBackend) -> Self {
-        self.backend = backend;
-        self
+        Self { dim, num_classes }
     }
 
     /// Columns per class: `dim + 1` (bias folded in).
@@ -167,29 +151,10 @@ impl LogisticRegression {
         }
     }
 
-    /// One affine panel `out = X̃Mᵀ` on the configured backend.
-    /// `Reference` uses the sequential-reduction [`kernels::affine_nt`]
-    /// (the bit-identity anchor); `UnrolledF64` the 4-lane
-    /// [`kernels::affine_nt_unrolled`]; `MixedF32` demotes both operands
-    /// into pooled f32 buffers and runs
-    /// [`kernels::affine_nt_mixed_f32`].
-    fn affine_panel(&self, xs: &[f64], m: &[f64], out: &mut [f64], ws: &mut Workspace) {
-        match self.backend {
-            KernelBackend::Reference => kernels::affine_nt(xs, m, self.dim, out),
-            KernelBackend::UnrolledF64 => kernels::affine_nt_unrolled(xs, m, self.dim, out),
-            KernelBackend::MixedF32 => {
-                let xf = ws.take_f32_from(xs);
-                let mf = ws.take_f32_from(m);
-                kernels::affine_nt_mixed_f32(&xf, &mf, self.dim, out);
-                ws.put_f32(mf);
-                ws.put_f32(xf);
-            }
-        }
-    }
-
     /// Fill `pb` (softmax probabilities) and `ub` (`U = X̃Vᵀ`), each
     /// `bsz×C` — the two GEMM panels every batched entry point consumes,
-    /// computed on the configured [`KernelBackend`]. Consecutive blocks
+    /// both through the sequential-reduction [`kernels::affine_nt`] (the
+    /// bit-identity anchor of the scoring and HVP paths). Consecutive blocks
     /// (the common case: pools and Hessian batches are ascending index
     /// ranges) feed the dataset's contiguous feature storage straight
     /// into the GEMM; scattered blocks gather their rows into `xb`
@@ -204,39 +169,26 @@ impl LogisticRegression {
         xb: &mut [f64],
         pb: &mut [f64],
         ub: &mut [f64],
-        ws: &mut Workspace,
     ) {
         let (d, c) = (self.dim, self.num_classes);
         let xs = block_features(data, block, d, xb);
-        self.affine_panel(xs, w, pb, ws);
+        kernels::affine_nt(xs, w, d, pb);
         for r in 0..block.len() {
             vector::softmax_in_place(&mut pb[r * c..(r + 1) * c]);
         }
-        self.affine_panel(xs, v, ub, ws);
+        kernels::affine_nt(xs, v, d, ub);
     }
 
     /// Fill `pb` (`bsz×C` softmax probabilities) from a pre-gathered
     /// feature block `xs` — the single panel [`Model::grad_block`]
-    /// consumes. Unlike [`Self::block_panels`], the `Reference` backend
-    /// runs this panel through the ILP-unrolled affine kernel
-    /// ([`kernels::affine_nt_unrolled`]): the forward panel dominates
-    /// the minibatch-gradient cost, and grad_block's contract is ≤1e-10
-    /// agreement with the per-sample path, not bit equality — which
-    /// also makes `UnrolledF64` bit-identical to `Reference` here.
-    fn proba_panel(&self, w: &[f64], xs: &[f64], pb: &mut [f64], ws: &mut Workspace) {
+    /// consumes. Unlike [`Self::block_panels`], this panel runs through
+    /// the ILP-unrolled affine kernel ([`kernels::affine_nt_unrolled`]):
+    /// the forward panel dominates the minibatch-gradient cost, and
+    /// grad_block's contract is ≤1e-10 agreement with the per-sample
+    /// path, not bit equality.
+    fn proba_panel(&self, w: &[f64], xs: &[f64], pb: &mut [f64]) {
         let c = self.num_classes;
-        match self.backend {
-            KernelBackend::Reference | KernelBackend::UnrolledF64 => {
-                kernels::affine_nt_unrolled(xs, w, self.dim, pb);
-            }
-            KernelBackend::MixedF32 => {
-                let xf = ws.take_f32_from(xs);
-                let wf = ws.take_f32_from(w);
-                kernels::affine_nt_mixed_f32(&xf, &wf, self.dim, pb);
-                ws.put_f32(wf);
-                ws.put_f32(xf);
-            }
-        }
+        kernels::affine_nt_unrolled(xs, w, self.dim, pb);
         for r in 0..pb.len() / c {
             vector::softmax_in_place(&mut pb[r * c..(r + 1) * c]);
         }
@@ -349,10 +301,6 @@ impl Model for LogisticRegression {
         KernelPath::Gemm
     }
 
-    fn kernel_backend(&self) -> KernelBackend {
-        self.backend
-    }
-
     /// Closed form via the rank-1 gradient identity: every per-sample
     /// gradient is `(p − y) ⊗ x̃`, so its dot with `v` only needs
     /// `u_c = v_c · x̃` — one row of `U = X̃Vᵀ`. Two block GEMMs (`P`
@@ -375,7 +323,7 @@ impl Model for LogisticRegression {
         let mut xb = ws.take_uninit(bsz * d);
         let mut pb = ws.take_uninit(bsz * c);
         let mut ub = ws.take_uninit(bsz * c);
-        self.block_panels(w, data, block, v, &mut xb, &mut pb, &mut ub, ws);
+        self.block_panels(w, data, block, v, &mut xb, &mut pb, &mut ub);
         for (r, &i) in block.iter().enumerate() {
             let p = &pb[r * c..(r + 1) * c];
             let u = &ub[r * c..(r + 1) * c];
@@ -422,7 +370,7 @@ impl Model for LogisticRegression {
             let mut xb = ws.take_uninit(bsz * d);
             let mut pb = ws.take_uninit(bsz * c);
             let xs = block_features(data, chunk, d, &mut xb);
-            self.proba_panel(w, xs, &mut pb[..bsz * c], ws);
+            self.proba_panel(w, xs, &mut pb[..bsz * c]);
             // Overwrite the probability panel with the weighted
             // coefficient panel P̃.
             for (r, &i) in chunk.iter().enumerate() {
@@ -487,7 +435,7 @@ impl Model for LogisticRegression {
             let mut xb = ws.take_uninit(bsz * d);
             let mut pb = ws.take_uninit(bsz * c);
             let mut ub = ws.take_uninit(bsz * c);
-            self.block_panels(w, data, chunk, v, &mut xb, &mut pb, &mut ub, ws);
+            self.block_panels(w, data, chunk, v, &mut xb, &mut pb, &mut ub);
             for (r, &i) in chunk.iter().enumerate() {
                 let weight = data.weight(i, gamma);
                 let p = &pb[r * c..(r + 1) * c];

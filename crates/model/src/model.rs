@@ -9,7 +9,7 @@
 
 use crate::label::SoftLabel;
 use crate::store::DatasetStore;
-use chef_linalg::{vector, KernelBackend, Workspace};
+use chef_linalg::{vector, Workspace};
 
 /// Which kernel implementation served a batched [`Model`] call.
 ///
@@ -118,15 +118,6 @@ pub trait Model: Send + Sync {
     /// entry points also report it from each call.
     fn scoring_kernel(&self) -> KernelPath {
         KernelPath::PerSample
-    }
-
-    /// Which precision/ILP backend the model's GEMM panels run on.
-    /// Purely informational (telemetry): only meaningful when
-    /// [`Model::scoring_kernel`] is [`KernelPath::Gemm`] — the
-    /// per-sample fallback has no panel kernel to select, so the default
-    /// reports [`KernelBackend::Reference`].
-    fn kernel_backend(&self) -> KernelBackend {
-        KernelBackend::Reference
     }
 
     /// Batched influence dot products for a block of samples.

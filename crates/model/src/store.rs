@@ -57,16 +57,15 @@ use crate::dataset::Dataset;
 use crate::label::SoftLabel;
 
 /// Cumulative I/O-side counters a [`DatasetStore`] may expose through
-/// [`DatasetStore::io_stats`]: how much work integrity verification and
-/// background prefetch did over the store's lifetime. The cleaning
+/// [`DatasetStore::io_stats`]: how much work integrity verification did
+/// over the store's lifetime. The cleaning
 /// pipeline folds these into the `store.*` telemetry counters at the end
 /// of a run. Plain data (no `chef-obs` dependency) so any store
 /// implementation can report without pulling in the telemetry machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreIoStats {
     /// Total milliseconds spent checksum-verifying shard bytes (eager
-    /// open streaming plus lazy first-touch checks plus background
-    /// prefetch verification).
+    /// open streaming plus lazy first-touch checks).
     pub verify_ms: u64,
     /// Integrity units actually checksummed: whole shards under eager
     /// verification, individual blocks under lazy first-touch.
@@ -75,10 +74,6 @@ pub struct StoreIoStats {
     /// bitmap (the block was already verified) — evidence each block is
     /// checked exactly once, not once per read.
     pub lazy_verify_hits: u64,
-    /// Milliseconds the background prefetch worker spent verifying and
-    /// warming upcoming windows — work overlapped with foreground
-    /// compute rather than serialized into the scan.
-    pub prefetch_overlap_ms: u64,
 }
 
 /// Storage-agnostic access to a training set: the exact surface the
@@ -197,20 +192,8 @@ pub trait DatasetStore: Send + Sync {
         let _ = (lo, hi);
     }
 
-    /// Hint that rows `lo..hi` will be scanned *after* the caller's
-    /// current work — the asynchronous sibling of [`Self::advise_range`].
-    /// Sharded selector passes call this for shard `s+1` while scoring
-    /// shard `s`; a store with a background prefetch worker verifies and
-    /// warms the window concurrently, overlapping I/O + checksum work
-    /// with compute. Purely a performance hint: implementations must not
-    /// change any visible data, so results stay bit-identical with the
-    /// hint ignored (the in-memory and serial stores ignore it).
-    fn prefetch_upcoming(&self, lo: usize, hi: usize) {
-        let _ = (lo, hi);
-    }
-
     /// Cumulative I/O-side counters ([`StoreIoStats`]) for stores that
-    /// track integrity/prefetch work; `None` (the default) for stores
+    /// track integrity work; `None` (the default) for stores
     /// with nothing to report. The pipeline records the totals as
     /// `store.*` telemetry counters when a run finishes.
     fn io_stats(&self) -> Option<StoreIoStats> {
@@ -455,10 +438,6 @@ impl DatasetStore for OverlayView<'_> {
 
     fn advise_scanned(&self, lo: usize, hi: usize) {
         self.base.advise_scanned(lo, hi);
-    }
-
-    fn prefetch_upcoming(&self, lo: usize, hi: usize) {
-        self.base.prefetch_upcoming(lo, hi);
     }
 
     fn io_stats(&self) -> Option<StoreIoStats> {

@@ -40,15 +40,6 @@ pub struct SelectorTelemetry {
     /// structure-aware closed form, `"per_sample"` for the generic
     /// fallback, empty when the selector doesn't report one.
     pub kernel_path: String,
-    /// Which precision/ILP backend the GEMM panels ran on
-    /// (`"reference"`, `"unrolled_f64"` or `"mixed_f32"`; empty when
-    /// `kernel_path` is not `"gemm"`).
-    ///
-    /// Additive `telemetry.v1` field: omitted from the serialized object
-    /// when empty so documents (and `checkpoint.v1` files, which embed
-    /// round telemetry) written before the field existed still
-    /// round-trip byte-identically.
-    pub kernel_backend: String,
     /// Wall-clock of the selector phase in milliseconds (Time_inf).
     pub select_ms: f64,
 }
@@ -99,11 +90,6 @@ pub struct ConstructorTelemetry {
     /// round telemetry) written before the field existed still
     /// round-trip byte-identically.
     pub kernel_path: String,
-    /// Which precision/ILP backend the training GEMM panels ran on
-    /// (`"reference"`, `"unrolled_f64"` or `"mixed_f32"`; empty when
-    /// `kernel_path` is not `"gemm"`). Additive and omitted when empty,
-    /// like `kernel_path`.
-    pub kernel_backend: String,
     /// Wall-clock of the constructor phase in milliseconds.
     pub update_ms: f64,
 }
@@ -173,9 +159,6 @@ impl SelectorTelemetry {
         w.field_u64("hvp_evals", self.hvp_evals as u64);
         w.field_f64("bound_hit_rate", self.bound_hit_rate);
         w.field_str("kernel_path", &self.kernel_path);
-        if !self.kernel_backend.is_empty() {
-            w.field_str("kernel_backend", &self.kernel_backend);
-        }
         w.field_f64("select_ms", self.select_ms);
         w.end_object();
     }
@@ -191,8 +174,7 @@ impl SelectorTelemetry {
             hvp_evals: req_usize(v, "selector", "hvp_evals")?,
             bound_hit_rate: req_f64(v, "selector", "bound_hit_rate")?,
             kernel_path: req_str(v, "selector", "kernel_path")?,
-            // Optional (additive): absent in pre-PR-6 documents.
-            kernel_backend: opt_str(v, "selector", "kernel_backend")?,
+            // A legacy "kernel_backend" key, if present, is ignored.
             select_ms: req_f64(v, "selector", "select_ms")?,
         })
     }
@@ -237,9 +219,6 @@ impl ConstructorTelemetry {
         if !self.kernel_path.is_empty() {
             w.field_str("kernel_path", &self.kernel_path);
         }
-        if !self.kernel_backend.is_empty() {
-            w.field_str("kernel_backend", &self.kernel_backend);
-        }
         w.field_f64("update_ms", self.update_ms);
         w.end_object();
     }
@@ -255,8 +234,7 @@ impl ConstructorTelemetry {
             epochs: req_usize(v, "constructor", "epochs")?,
             // Optional (additive): absent in pre-PR-5 documents.
             kernel_path: opt_str(v, "constructor", "kernel_path")?,
-            // Optional (additive): absent in pre-PR-6 documents.
-            kernel_backend: opt_str(v, "constructor", "kernel_backend")?,
+            // A legacy "kernel_backend" key, if present, is ignored.
             update_ms: req_f64(v, "constructor", "update_ms")?,
         })
     }
@@ -317,7 +295,6 @@ mod tests {
                 hvp_evals: 12,
                 bound_hit_rate: 0.9,
                 kernel_path: "gemm".into(),
-                kernel_backend: "reference".into(),
                 select_ms: 1.25,
             },
             ..RoundTelemetry::default()
@@ -351,7 +328,6 @@ mod tests {
                 hvp_evals: 40,
                 bound_hit_rate: 0.0,
                 kernel_path: "per_sample".into(),
-                kernel_backend: String::new(),
                 select_ms: 3.5,
             },
             annotation: AnnotationTelemetry {
@@ -370,7 +346,6 @@ mod tests {
                 lbfgs_history: 2,
                 epochs: 10,
                 kernel_path: "gemm".into(),
-                kernel_backend: "unrolled_f64".into(),
                 update_ms: 9.75,
             },
         };
@@ -416,35 +391,40 @@ mod tests {
 
     #[test]
     fn kernel_backend_is_additive_and_optional_in_both_sections() {
-        // Pre-PR-6 documents carry kernel_path but no kernel_backend:
-        // they must parse (empty backend) and re-serialize byte-
-        // identically, in both the selector and constructor sections.
-        let old_sel = r#"{"selector":"Infl","pool":10,"pruned":0,"scored":10,"grad_evals":30,"hvp_evals":4,"bound_hit_rate":0,"kernel_path":"gemm","select_ms":1.5}"#;
-        let st = SelectorTelemetry::from_json(&crate::parse::parse_json(old_sel).unwrap()).unwrap();
-        assert_eq!(st.kernel_backend, "");
+        // Documents and checkpoint.v1 files written while the kernel
+        // backend was selectable may carry a "kernel_backend" key in the
+        // selector and constructor objects. It is optional: such objects
+        // still parse, the key is ignored, and re-serializing yields the
+        // same object without it.
+        let sel = r#"{"selector":"Infl","pool":10,"pruned":0,"scored":10,"grad_evals":30,"hvp_evals":4,"bound_hit_rate":0,"kernel_path":"gemm","select_ms":1.5}"#;
+        let legacy_sel = sel.replace(
+            r#""kernel_path":"gemm","#,
+            r#""kernel_path":"gemm","kernel_backend":"reference","#,
+        );
+        let st =
+            SelectorTelemetry::from_json(&crate::parse::parse_json(&legacy_sel).unwrap()).unwrap();
+        assert_eq!(
+            st,
+            SelectorTelemetry::from_json(&crate::parse::parse_json(sel).unwrap()).unwrap()
+        );
         let mut w = JsonWriter::new();
         st.write_json(&mut w);
-        assert_eq!(w.finish(), old_sel);
+        assert_eq!(w.finish(), sel);
 
-        let with = SelectorTelemetry {
-            kernel_backend: "mixed_f32".into(),
-            ..st
-        };
-        let mut w = JsonWriter::new();
-        with.write_json(&mut w);
-        let json = w.finish();
-        assert!(json.contains("\"kernel_backend\":\"mixed_f32\""));
-        let reparsed =
-            SelectorTelemetry::from_json(&crate::parse::parse_json(&json).unwrap()).unwrap();
-        assert_eq!(reparsed, with);
-
-        let old_ctor = r#"{"kind":"retrain","exact_steps":5,"replay_steps":0,"correction_grads":0,"lbfgs_history":0,"epochs":3,"kernel_path":"gemm","update_ms":1.5}"#;
-        let ct =
-            ConstructorTelemetry::from_json(&crate::parse::parse_json(old_ctor).unwrap()).unwrap();
-        assert_eq!(ct.kernel_backend, "");
+        let ctor = r#"{"kind":"retrain","exact_steps":5,"replay_steps":0,"correction_grads":0,"lbfgs_history":0,"epochs":3,"kernel_path":"gemm","update_ms":1.5}"#;
+        let legacy_ctor = ctor.replace(
+            r#""kernel_path":"gemm","#,
+            r#""kernel_path":"gemm","kernel_backend":"unrolled_f64","#,
+        );
+        let ct = ConstructorTelemetry::from_json(&crate::parse::parse_json(&legacy_ctor).unwrap())
+            .unwrap();
+        assert_eq!(
+            ct,
+            ConstructorTelemetry::from_json(&crate::parse::parse_json(ctor).unwrap()).unwrap()
+        );
         let mut w = JsonWriter::new();
         ct.write_json(&mut w);
-        assert_eq!(w.finish(), old_ctor);
+        assert_eq!(w.finish(), ctor);
     }
 
     #[test]

@@ -96,6 +96,17 @@ fn logreg_reports_gemm_kernel_and_mlp_falls_back() {
     let mlp = Mlp::new(DIM, 4, CLASSES);
     assert_eq!(logreg.scoring_kernel(), KernelPath::Gemm);
     assert_eq!(mlp.scoring_kernel(), KernelPath::PerSample);
+    // Every batched entry point of the default-constructed logreg model
+    // reports the GEMM path it advertises.
+    let data = fixture(10);
+    let (w, v) = w_and_v(&logreg, 10);
+    let batch: Vec<usize> = (0..N).collect();
+    let mut ws = Workspace::new();
+    let mut out = vec![0.0; logreg.num_params()];
+    let grad_path = logreg.grad_block(&w, &data, &batch, GAMMA, &mut out, &mut ws);
+    let hvp_path = logreg.hvp_block(&w, &data, &batch, GAMMA, &v, &mut out, &mut ws);
+    assert_eq!(grad_path, KernelPath::Gemm);
+    assert_eq!(hvp_path, KernelPath::Gemm);
     assert_eq!(KernelPath::Gemm.name(), "gemm");
     assert_eq!(KernelPath::PerSample.name(), "per_sample");
 }
@@ -118,9 +129,16 @@ fn logreg_batched_parallel_and_serial_are_bit_identical() {
     let (w, v) = w_and_v(&model, 14);
     let pool = data.uncleaned_indices();
     let dispatched = rank_infl_with_vector(&model, &data, &w, &v, &pool, GAMMA);
+    let again = rank_infl_with_vector(&model, &data, &w, &v, &pool, GAMMA);
     let serial = rank_infl_with_vector_serial(&model, &data, &w, &v, &pool, GAMMA);
     assert_eq!(dispatched.len(), serial.len());
-    for (a, b) in dispatched.iter().zip(&serial) {
+    assert_eq!(dispatched.len(), again.len());
+    // Run to run and serial vs dispatched, bit for bit.
+    for (a, b) in dispatched
+        .iter()
+        .zip(&again)
+        .chain(dispatched.iter().zip(&serial))
+    {
         assert_eq!(a.index, b.index);
         assert_eq!(a.suggested, b.suggested);
         assert_eq!(a.score.to_bits(), b.score.to_bits());
@@ -259,6 +277,12 @@ fn raw_score_block_contract_holds_for_both_models() {
             &mut ws,
         );
         assert_eq!(path, expect_path);
+        // Deterministic: a second call reproduces every bit.
+        let mut again = (vec![0.0; class_dots.len()], vec![0.0; label_dots.len()]);
+        model.score_block(&w, &data, &block, &v, &mut again.0, &mut again.1, &mut ws);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&class_dots), bits(&again.0));
+        assert_eq!(bits(&label_dots), bits(&again.1));
         let mut g = vec![0.0; model.num_params()];
         for (r, &i) in block.iter().enumerate() {
             for c in 0..CLASSES {

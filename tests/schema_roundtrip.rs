@@ -97,9 +97,6 @@ fn golden_checkpoint() -> Checkpoint {
                     hvp_evals: 12,
                     bound_hit_rate: 0.86,
                     kernel_path: "gemm".into(),
-                    // Empty (and therefore omitted): the committed golden
-                    // bytes predate the kernel_backend field.
-                    kernel_backend: String::new(),
                     select_ms: 1.5,
                 },
                 ..RoundTelemetry::default()

@@ -10,8 +10,8 @@
 //! provenance initialization and the per-shard top-b merge), the
 //! DeltaGrad-L constructor, the `pread` fallback, and a pathologically
 //! small residency window (constant eviction). Since `store.v2` the
-//! harness also covers the integrity axis: `LazyFirstTouch` (with and
-//! without the background prefetcher) must be bit-identical to `Eager`,
+//! harness also covers the integrity axis: `LazyFirstTouch` must be
+//! bit-identical to `Eager`,
 //! and a `store.v1` directory (no per-block checksum table) must still
 //! open and produce the same bits. With `fault-inject`, the same
 //! equivalence is asserted through a crash + `checkpoint.v1` resume on
@@ -224,8 +224,7 @@ fn pread_fallback_is_bit_identical() {
 #[test]
 fn lazy_first_touch_is_bit_identical_to_eager() {
     // The integrity mode must only change *when* checksums are checked,
-    // never what the selector sees — with or without the background
-    // prefetch thread warming blocks ahead of the residency window.
+    // never what the selector sees.
     let (dir, val, test) = make_store("lazy");
     let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
     let lazy = run_on_store(
@@ -240,19 +239,6 @@ fn lazy_first_touch_is_bit_identical_to_eager() {
         &test,
     );
     assert_equivalent(&mem, &lazy);
-    let lazy_no_prefetch = run_on_store(
-        &dir,
-        StoreOptions {
-            integrity: IntegrityMode::LazyFirstTouch,
-            background_prefetch: false,
-            ..StoreOptions::default()
-        },
-        ConstructorKind::Retrain,
-        false,
-        &val,
-        &test,
-    );
-    assert_equivalent(&mem, &lazy_no_prefetch);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -261,7 +247,7 @@ fn v1_manifest_store_is_still_bit_identical() {
     // Backward compat: a directory written before store.v2 has no
     // per-block checksum table. Demote the manifest to the v1 dialect
     // (drop block lines, flip the version header) and require the
-    // pipeline to produce the same bits in every integrity mode.
+    // pipeline to produce the same bits in both integrity modes.
     let (dir, val, test) = make_store("v1compat");
     let v2_path = dir.join(chef_data::store::MANIFEST_FILE_V2);
     let v2 = std::fs::read_to_string(&v2_path).unwrap();
@@ -284,11 +270,7 @@ fn v1_manifest_store_is_still_bit_identical() {
     std::fs::remove_file(&v2_path).unwrap();
 
     let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
-    for integrity in [
-        IntegrityMode::Eager,
-        IntegrityMode::LazyFirstTouch,
-        IntegrityMode::Off,
-    ] {
+    for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
         let store = run_on_store(
             &dir,
             StoreOptions {
@@ -439,7 +421,6 @@ mod fault_inject {
             &dir,
             StoreOptions {
                 integrity: IntegrityMode::LazyFirstTouch,
-                background_prefetch: false,
                 ..StoreOptions::default()
             },
         )
