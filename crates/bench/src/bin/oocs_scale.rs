@@ -314,6 +314,7 @@ fn run_child(args: &[String]) {
         w.field_u64("verify_ms", io.verify_ms);
         w.field_u64("blocks_verified", io.blocks_verified);
         w.field_u64("lazy_verify_hits", io.lazy_verify_hits);
+        w.field_u64("advise_calls", io.advise_calls);
     }
     w.field_str("fingerprint", &fingerprint(&report));
     w.end_object();

@@ -517,7 +517,7 @@ pub fn rank_infl_top_b_sharded<M: Model + ?Sized>(
             continue;
         }
         let (lo, hi) = (bounds[s], bounds[s + 1]);
-        data.prefetch_rows(bucket);
+        data.advise_range(lo, hi);
         per_shard.push(rank_infl_top_b(model, data, w, v, bucket, gamma, b));
         data.advise_scanned(lo, hi);
     }

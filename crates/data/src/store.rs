@@ -51,7 +51,7 @@
 //!   set). O(dataset bytes) before the first row is served.
 //! * [`LazyFirstTouch`](IntegrityMode::LazyFirstTouch) — defer to the
 //!   access path: each block is verified exactly once, on first touch
-//!   (`feature` / `feature_rows` / `prefetch_rows`), tracked by a
+//!   (`feature` / `feature_rows` / `gather_rows`), tracked by a
 //!   per-shard atomic bitmap. Cold-open cost becomes O(touched bytes),
 //!   which is what makes the first scored block arrive fast at n=10M.
 //!   Corruption discovered on the access path poisons the store and
@@ -781,6 +781,7 @@ struct IoCounters {
     verify_ns: AtomicU64,
     blocks_verified: AtomicU64,
     lazy_verify_hits: AtomicU64,
+    advise_calls: AtomicU64,
 }
 
 impl IoCounters {
@@ -789,6 +790,7 @@ impl IoCounters {
             verify_ms: self.verify_ns.load(Ordering::Relaxed) / 1_000_000,
             blocks_verified: self.blocks_verified.load(Ordering::Relaxed),
             lazy_verify_hits: self.lazy_verify_hits.load(Ordering::Relaxed),
+            advise_calls: self.advise_calls.load(Ordering::Relaxed),
         }
     }
 }
@@ -1088,6 +1090,7 @@ impl MmapStore {
         for c in chunks {
             if let ChunkData::Mapped(m) = &self.data[c] {
                 m.advise_willneed(0, m.len());
+                self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(pos) = q.iter().position(|&x| x == c) {
                 q.remove(pos); // re-touch: move to the back of the window
@@ -1098,6 +1101,7 @@ impl MmapStore {
                     let old = q.pop_front().unwrap();
                     if let ChunkData::Mapped(m) = &self.data[old] {
                         m.advise_dontneed(0, m.len());
+                        self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -1110,6 +1114,7 @@ impl MmapStore {
         for c in chunks {
             if let ChunkData::Mapped(m) = &self.data[c] {
                 m.advise_dontneed(0, m.len());
+                self.stats.advise_calls.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(pos) = q.iter().position(|&x| x == c) {
                 q.remove(pos);
@@ -1134,12 +1139,21 @@ impl MmapStore {
         self.touch_chunks(std::iter::once(c));
     }
 
-    /// Deduplicated chunk indices touched by `rows`.
-    fn chunks_of_rows(&self, rows: &[usize]) -> Vec<usize> {
-        let mut cs: Vec<usize> = rows.iter().map(|&i| self.chunk_of(i)).collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cs
+    /// Panic with the [`StoreError`] rendering if the bytes of rows
+    /// `r..r + rows` of shard `c` fail first-touch verification:
+    /// `&[f64]` cannot carry a Result (the fallible twin is
+    /// [`MmapStore::verify_rows`]).
+    fn verify_or_panic(&self, c: usize, r: usize, rows: usize) {
+        let d8 = self.manifest.dim * 8;
+        if let Err(e) = self.ensure_bytes_verified(c, r * d8, (r + rows) * d8) {
+            panic!("{e}");
+        }
+    }
+
+    /// Number of chunks the residency window currently holds hinted
+    /// resident (at most `residency_chunks` when that is non-zero).
+    pub fn resident_chunks(&self) -> usize {
+        self.resident.lock().unwrap().len()
     }
 }
 
@@ -1161,12 +1175,7 @@ impl DatasetStore for MmapStore {
         let c = self.chunk_of(i);
         let r = i - c * self.manifest.chunk_rows;
         let d = self.manifest.dim;
-        // First-touch integrity: &[f64] cannot carry a Result, so a
-        // corrupt block aborts the read with the StoreError rendering
-        // (the fallible twin is MmapStore::verify_rows).
-        if let Err(e) = self.ensure_bytes_verified(c, r * d * 8, (r + 1) * d * 8) {
-            panic!("{e}");
-        }
+        self.verify_or_panic(c, r, 1);
         self.note_chunk_access(c);
         &self.chunk_floats(c)[r * d..(r + 1) * d]
     }
@@ -1184,11 +1193,48 @@ impl DatasetStore for MmapStore {
         let c = self.chunk_of(lo);
         let r = lo - c * self.manifest.chunk_rows;
         let d = self.manifest.dim;
-        if let Err(e) = self.ensure_bytes_verified(c, r * d * 8, (r + (hi - lo)) * d * 8) {
-            panic!("{e}");
-        }
+        self.verify_or_panic(c, r, hi - lo);
         self.note_chunk_access(c);
         &self.chunk_floats(c)[r * d..(r + (hi - lo)) * d]
+    }
+
+    /// Streams the rows chunk by chunk: the batch positions are ordered
+    /// by row index (which groups them by chunk), each group is
+    /// verified and copied straight out of its chunk, and the chunk is
+    /// released right after (`DONTNEED`, dropped from the window). A
+    /// scattered gather therefore costs one `madvise` per chunk touched
+    /// and leaves no chunk resident behind it; keeping the batch's
+    /// chunks mapped instead lets them fill up page by page and raises
+    /// peak RSS. Sequential scans keep using the window (`feature_rows`,
+    /// `advise_range`). With `residency_chunks == 0` nothing is
+    /// released, as everywhere else.
+    fn gather_rows(&self, rows: &[usize], out: &mut [f64]) {
+        let (d, rows_per) = (self.manifest.dim, self.manifest.chunk_rows);
+        assert_eq!(out.len(), rows.len() * d, "gather_rows: panel size");
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_unstable_by_key(|&pos| rows[pos]);
+        if let Some(&pos) = order.last() {
+            assert!(
+                rows[pos] < self.manifest.n,
+                "row {} out of bounds",
+                rows[pos]
+            );
+        }
+        for group in order.chunk_by(|&a, &b| self.chunk_of(rows[a]) == self.chunk_of(rows[b])) {
+            let c = self.chunk_of(rows[group[0]]);
+            let floats = self.chunk_floats(c);
+            for &pos in group {
+                let r = rows[pos] - c * rows_per;
+                self.verify_or_panic(c, r, 1);
+                out[pos * d..(pos + 1) * d].copy_from_slice(&floats[r * d..(r + 1) * d]);
+            }
+            if self.residency_chunks > 0 {
+                self.release_chunks(std::iter::once(c));
+            }
+        }
+        // The walk may have released the chunk a sequential reader
+        // last noted; forget it so that reader re-enters the window.
+        self.last_touched.store(usize::MAX, Ordering::Relaxed);
     }
 
     fn contiguous_limit(&self, lo: usize) -> usize {
@@ -1226,22 +1272,6 @@ impl DatasetStore for MmapStore {
 
     fn mark_uncleaned(&mut self, i: usize) {
         self.clean[i] = false;
-    }
-
-    fn prefetch_rows(&self, rows: &[usize]) {
-        // prefetch_rows is an access path: the caller is about to read
-        // these rows, so first-touch verification happens here (and the
-        // later reads hit the bitmap).
-        let d8 = self.manifest.dim * 8;
-        let rows_per = self.manifest.chunk_rows;
-        for i in rows {
-            let c = self.chunk_of(*i);
-            let r = i - c * rows_per;
-            if let Err(e) = self.ensure_bytes_verified(c, r * d8, (r + 1) * d8) {
-                panic!("{e}");
-            }
-        }
-        self.touch_chunks(self.chunks_of_rows(rows).into_iter());
     }
 
     fn advise_range(&self, lo: usize, hi: usize) {
@@ -1407,7 +1437,6 @@ mod tests {
             },
         )
         .unwrap();
-        store.prefetch_rows(&[0, 9, 17, 25, 33]);
         store.advise_range(0, 40);
         for i in 0..40 {
             assert_eq!(store.feature(i), data.feature(i));

@@ -158,18 +158,19 @@ impl LogisticRegression {
     /// (the common case: pools and Hessian batches are ascending index
     /// ranges) feed the dataset's contiguous feature storage straight
     /// into the GEMM; scattered blocks gather their rows into `xb`
-    /// first.
+    /// first. Returns the `bsz×d` feature block it used, so callers
+    /// that need the rows again read them from there.
     #[allow(clippy::too_many_arguments)]
-    fn block_panels(
+    fn block_panels<'a>(
         &self,
         w: &[f64],
-        data: &dyn DatasetStore,
+        data: &'a dyn DatasetStore,
         block: &[usize],
         v: &[f64],
-        xb: &mut [f64],
+        xb: &'a mut [f64],
         pb: &mut [f64],
         ub: &mut [f64],
-    ) {
+    ) -> &'a [f64] {
         let (d, c) = (self.dim, self.num_classes);
         let xs = block_features(data, block, d, xb);
         kernels::affine_nt(xs, w, d, pb);
@@ -177,6 +178,7 @@ impl LogisticRegression {
             vector::softmax_in_place(&mut pb[r * c..(r + 1) * c]);
         }
         kernels::affine_nt(xs, v, d, ub);
+        xs
     }
 
     /// Fill `pb` (`bsz×C` softmax probabilities) from a pre-gathered
@@ -196,8 +198,9 @@ impl LogisticRegression {
 }
 
 /// Borrow a block's feature rows: the dataset's contiguous storage for
-/// consecutive blocks (the common case — minibatches from `BatchPlan`
-/// are ascending ranges), a gather into `xb` otherwise.
+/// consecutive blocks (scoring pools, CG's full-dataset sweeps), one
+/// [`DatasetStore::gather_rows`] into `xb` otherwise (shuffled SGD
+/// minibatches, Hessian subsamples).
 fn block_features<'a>(
     data: &'a dyn DatasetStore,
     block: &[usize],
@@ -207,15 +210,14 @@ fn block_features<'a>(
     let consecutive = block.windows(2).all(|pair| pair[1] == pair[0] + 1);
     // Zero-copy only when the run also stays inside one contiguous
     // storage unit (always true in memory; one chunk for a sharded
-    // store). The gather fallback reads the same f64 bits row by row,
-    // so which path runs can never change a result.
+    // store). The gather copies the same f64 bits, so which path runs
+    // can never change a result.
     if consecutive && !block.is_empty() && data.contiguous_limit(block[0]) >= block[0] + block.len()
     {
         data.feature_rows(block[0], block[0] + block.len())
     } else {
-        for (r, &i) in block.iter().enumerate() {
-            xb[r * d..(r + 1) * d].copy_from_slice(data.feature(i));
-        }
+        let xb = &mut xb[..block.len() * d];
+        data.gather_rows(block, xb);
         xb
     }
 }
@@ -435,13 +437,13 @@ impl Model for LogisticRegression {
             let mut xb = ws.take_uninit(bsz * d);
             let mut pb = ws.take_uninit(bsz * c);
             let mut ub = ws.take_uninit(bsz * c);
-            self.block_panels(w, data, chunk, v, &mut xb, &mut pb, &mut ub);
+            let xs = self.block_panels(w, data, chunk, v, &mut xb, &mut pb, &mut ub);
             for (r, &i) in chunk.iter().enumerate() {
                 let weight = data.weight(i, gamma);
                 let p = &pb[r * c..(r + 1) * c];
                 let u = &ub[r * c..(r + 1) * c];
                 let pu = vector::dot(p, u);
-                let xrow = data.feature(i);
+                let xrow = &xs[r * d..(r + 1) * d];
                 for k in 0..c {
                     let s = weight * (p[k] * (u[k] - pu));
                     let row = &mut out[k * cols..(k + 1) * cols];

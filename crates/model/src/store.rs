@@ -16,11 +16,17 @@
 //!   and [`DatasetStore::set_label`] mutate them in place exactly like
 //!   [`Dataset`], so `checkpoint.v1` label-patch replay works against
 //!   any store.
-//! * **Residency hints** — [`DatasetStore::prefetch_rows`] and
+//! * **Scattered gathers** — [`DatasetStore::gather_rows`] copies an
+//!   arbitrary row set (a shuffled SGD minibatch, a Hessian subsample)
+//!   into one row-major panel. In memory it is a per-row copy; the mmap
+//!   store walks the rows chunk by chunk and releases each chunk after
+//!   copying from it, so a scattered read costs O(chunks touched)
+//!   `madvise` calls, not O(rows).
+//! * **Residency hints** — [`DatasetStore::advise_range`] and
 //!   [`DatasetStore::advise_scanned`] are no-ops in memory and
-//!   `madvise` calls on the mmap store, letting streaming passes
-//!   (DeltaGrad-L minibatch replay, per-shard scoring sweeps) bound
-//!   their resident set.
+//!   `madvise` calls on the mmap store, letting sequential passes
+//!   (per-shard scoring and provenance sweeps) bound their resident
+//!   set.
 //!
 //! Every former `&Dataset` parameter in the kernels, objective,
 //! influence functions, trainer and pipeline is now `&dyn DatasetStore`
@@ -57,8 +63,8 @@ use crate::dataset::Dataset;
 use crate::label::SoftLabel;
 
 /// Cumulative I/O-side counters a [`DatasetStore`] may expose through
-/// [`DatasetStore::io_stats`]: how much work integrity verification did
-/// over the store's lifetime. The cleaning
+/// [`DatasetStore::io_stats`]: how much work integrity verification and
+/// residency management did over the store's lifetime. The cleaning
 /// pipeline folds these into the `store.*` telemetry counters at the end
 /// of a run. Plain data (no `chef-obs` dependency) so any store
 /// implementation can report without pulling in the telemetry machinery.
@@ -74,6 +80,9 @@ pub struct StoreIoStats {
     /// bitmap (the block was already verified) — evidence each block is
     /// checked exactly once, not once per read.
     pub lazy_verify_hits: u64,
+    /// Residency `madvise` calls issued (`WILLNEED` plus `DONTNEED`).
+    /// A scattered gather costs O(chunks touched) of these, not O(rows).
+    pub advise_calls: u64,
 }
 
 /// Storage-agnostic access to a training set: the exact surface the
@@ -109,6 +118,25 @@ pub trait DatasetStore: Send + Sync {
     /// split work by [`Self::shard_boundaries`] or check
     /// [`Self::contiguous_limit`] never hit the latter.
     fn feature_rows(&self, lo: usize, hi: usize) -> &[f64];
+
+    /// Copy the feature rows `rows` into `out` (`rows.len() × dim`,
+    /// row-major): row `r` of `out` is `feature(rows[r])`. Rows may be
+    /// unsorted and repeated. Batched kernels call this for blocks that
+    /// [`Self::feature_rows`] cannot serve zero-copy. The default copies
+    /// one [`Self::feature`] row at a time; sharded stores override it
+    /// to do their residency work once per chunk instead of per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != rows.len() * dim()` or a row is out of
+    /// bounds.
+    fn gather_rows(&self, rows: &[usize], out: &mut [f64]) {
+        let d = self.dim();
+        assert_eq!(out.len(), rows.len() * d, "gather_rows: panel size");
+        for (r, &i) in rows.iter().enumerate() {
+            out[r * d..(r + 1) * d].copy_from_slice(self.feature(i));
+        }
+    }
 
     /// The largest `hi` for which `feature_rows(lo, hi)` is guaranteed
     /// to succeed: the end of the contiguous storage unit containing
@@ -166,15 +194,6 @@ pub trait DatasetStore: Send + Sync {
     /// Number of clean samples.
     fn num_clean(&self) -> usize {
         (0..self.len()).filter(|&i| self.is_clean(i)).count()
-    }
-
-    /// Hint that `rows` will be read soon. Streaming consumers (the
-    /// SGD/DeltaGrad-L minibatch loops) call this one batch ahead; the
-    /// mmap store turns it into `madvise(WILLNEED)` readahead and, when
-    /// a residency budget is set, releases the chunks that fall out of
-    /// the prefetch window. No-op in memory.
-    fn prefetch_rows(&self, rows: &[usize]) {
-        let _ = rows;
     }
 
     /// Hint that a sequential scan over rows `lo..hi` is about to start
@@ -428,8 +447,8 @@ impl DatasetStore for OverlayView<'_> {
         panic!("LabelOverlay views are read-only");
     }
 
-    fn prefetch_rows(&self, rows: &[usize]) {
-        self.base.prefetch_rows(rows);
+    fn gather_rows(&self, rows: &[usize], out: &mut [f64]) {
+        self.base.gather_rows(rows, out);
     }
 
     fn advise_range(&self, lo: usize, hi: usize) {
@@ -481,8 +500,11 @@ mod tests {
         assert_eq!(s.uncleaned_indices(), vec![1, 2]);
         assert_eq!(s.num_clean(), 1);
         // Residency hints are no-ops but must be callable.
-        s.prefetch_rows(&[0, 2]);
+        s.advise_range(0, 3);
         s.advise_scanned(0, 3);
+        let mut panel = vec![0.0; 6];
+        s.gather_rows(&[2, 0, 2], &mut panel);
+        assert_eq!(panel, [1.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -127,10 +127,6 @@ pub fn train_traced<M: Model + ?Sized>(
     for (t, batch) in plan.iter() {
         {
             let _batch_timer = telemetry.timer("train.batch_ms");
-            // Residency hint for out-of-core stores (no-op in memory):
-            // the store keeps a bounded window of recently hinted chunks
-            // resident, so a full epoch never holds the whole file.
-            data.prefetch_rows(&batch);
             objective.batch_grad(model, data, &batch, &w, &mut g);
             if cfg.cache_provenance {
                 params.push(&w);

@@ -16,7 +16,10 @@
 //! open and produce the same bits. With `fault-inject`, the same
 //! equivalence is asserted through a crash + `checkpoint.v1` resume on
 //! a freshly opened store, and corruption lanes check that a bit-flip
-//! slips past a lazy open but is caught on first touch of its block.
+//! slips past a lazy open but is caught on first touch of its block,
+//! whether that touch is a row read or a batch gather. The batch gather
+//! (`gather_rows`) is also checked on its own against the in-memory
+//! bits in every residency/integrity/backing combination.
 //!
 //! Like the other equivalence suites, this file runs in both feature
 //! configurations exercised by ci.sh (default and
@@ -308,6 +311,71 @@ fn tiny_residency_window_changes_nothing_but_paging() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Open `dir` with every store option spelled out.
+fn open_store(
+    dir: &Path,
+    residency_chunks: usize,
+    integrity: IntegrityMode,
+    force_pread: bool,
+) -> MmapStore {
+    MmapStore::open_with(
+        dir,
+        StoreOptions {
+            residency_chunks,
+            force_pread,
+            integrity,
+        },
+    )
+    .expect("open store")
+}
+
+#[test]
+fn gather_rows_returns_in_memory_bits_in_every_store_mode() {
+    // The batch gather reorders its walk by chunk and releases chunks as
+    // it goes; none of that may show in the panel it returns.
+    let (dir, _val, _test) = make_store("gather");
+    let mem = MmapStore::open(&dir).expect("open store").to_dataset();
+    let (n, d) = (mem.len(), mem.dim());
+    let row_sets: Vec<Vec<usize>> = vec![
+        Vec::new(),
+        vec![42],
+        // Unsorted, duplicated, crossing every shard (5 shards of 128).
+        vec![599, 3, 250, 3, 128, 127, 0, 599, 400, 511, 512],
+        // Descending inside one shard.
+        vec![130, 129, 128],
+        (0..n).rev().step_by(7).collect(),
+    ];
+    for residency_chunks in [0, 1, 8] {
+        for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
+            for force_pread in [false, true] {
+                let store = open_store(&dir, residency_chunks, integrity, force_pread);
+                let lane = format!("window={residency_chunks} {integrity:?} pread={force_pread}");
+                for rows in &row_sets {
+                    let want: Vec<f64> = rows
+                        .iter()
+                        .flat_map(|&i| mem.feature(i).iter().copied())
+                        .collect();
+                    let mut from_mem = vec![f64::NAN; rows.len() * d];
+                    mem.gather_rows(rows, &mut from_mem);
+                    assert_bits_eq(&want, &from_mem, &format!("{lane}: in-memory gather"));
+                    // A sequential read first, so the window is in use
+                    // when the gather runs.
+                    let _ = store.feature_rows(0, CHUNK_ROWS);
+                    let mut got = vec![f64::NAN; rows.len() * d];
+                    store.gather_rows(rows, &mut got);
+                    assert_bits_eq(&want, &got, &format!("{lane}: mmap gather {rows:?}"));
+                    assert!(
+                        store.resident_chunks() <= residency_chunks,
+                        "{lane}: {} chunks left in the window",
+                        store.resident_chunks()
+                    );
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Crash-recovery on an out-of-core store: kill the run mid-loop, then
 /// resume on a **freshly opened** store (as a restarted process would)
 /// and require the outcome to match an uninterrupted store run.
@@ -438,6 +506,57 @@ mod fault_inject {
             store.verify_rows(0, CHUNK_ROWS),
             Err(StoreError::Corrupt(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn bitflip_reached_only_through_gather_rows_panics_and_poisons() {
+        // Same damage as above, but the first read of the damaged block
+        // is a scattered batch gather: it must fail exactly like
+        // `feature` would, and poison the store for every later read.
+        let (dir, _val, _test) = make_store("gatherflip");
+        let chunk = dir.join(chef_data::store::chunk_file_name(4));
+        let mut bytes = std::fs::read(&chunk).unwrap();
+        let last = bytes.len() - 9;
+        bytes[last] ^= 0x10;
+        std::fs::write(&chunk, &bytes).unwrap();
+
+        for force_pread in [false, true] {
+            let store = MmapStore::open_with(
+                &dir,
+                StoreOptions {
+                    integrity: IntegrityMode::LazyFirstTouch,
+                    force_pread,
+                    ..StoreOptions::default()
+                },
+            );
+            let store = match (force_pread, store) {
+                // The pread fallback loads and checks whole shards at open.
+                (true, Err(StoreError::Corrupt(_))) => continue,
+                (false, Ok(store)) => store,
+                (_, other) => panic!("pread={force_pread}: unexpected open result {other:?}"),
+            };
+            let d = store.dim();
+            // Rows in intact shards gather fine.
+            let mut out = vec![0.0; 3 * d];
+            store.gather_rows(&[300, 5, 130], &mut out);
+
+            let rows = [10, 4 * CHUNK_ROWS + 1, 200];
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut out = vec![0.0; rows.len() * d];
+                store.gather_rows(&rows, &mut out);
+            }))
+            .expect_err("gathering a corrupt block must panic");
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("checksum mismatch (first-touch)"),
+                "panic message: {msg:?}"
+            );
+            assert!(matches!(
+                store.verify_rows(0, CHUNK_ROWS),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
