@@ -135,6 +135,21 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> e2ebench build (release, offline)"
 cargo build --release --offline --manifest-path e2ebench/Cargo.toml
 
+# Every workload once, quick and untraced, through the binary just
+# built. It exits 0 even when its own checks fail (async ≡ sync,
+# in-memory ≡ mmap, zero failed operations), so gate on its result
+# line: the last line of standard output.
+echo "==> e2ebench quick smoke (every workload, gated on its checks)"
+for workload in paper-inmem ooc-window serve-durable; do
+  last=$(e2ebench/target/release/chef-e2ebench --workload "$workload" \
+           --seed 1 --seconds 1 --trace 0 --quick | tail -n 1)
+  if ! grep -q '"correct":true' <<<"$last" || ! grep -qE '"failed":0[,}]' <<<"$last"; then
+    echo "e2ebench $workload quick smoke failed its checks:" >&2
+    echo "$last" >&2
+    exit 1
+  fi
+done
+
 echo "==> e2ebench tests"
 cargo test --release --manifest-path e2ebench/Cargo.toml
 

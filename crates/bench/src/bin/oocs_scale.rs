@@ -42,7 +42,7 @@ use chef_core::{
     rank_infl_with_vector, AnnotationConfig, ConstructorKind, InflScore, InflSelector,
     LabelStrategy, Pipeline, PipelineConfig, StorePipelineReport,
 };
-use chef_data::store::write_store;
+use chef_data::store::{fnv1a64, write_store, FNV_OFFSET};
 use chef_data::{
     generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreOptions,
 };
@@ -132,17 +132,6 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
-
 /// Bit-exact digest of everything the cleaning round decided: the
 /// selected samples (with suggestions), the final parameters, and the
 /// F1s. Two runs with equal fingerprints made identical choices.
@@ -150,15 +139,15 @@ fn fingerprint(report: &StorePipelineReport) -> String {
     let mut h = FNV_OFFSET;
     for round in &report.rounds {
         for sel in &round.selected {
-            h = fnv_fold(h, &(sel.index as u64).to_le_bytes());
+            h = fnv1a64(h, &(sel.index as u64).to_le_bytes());
             let suggested = sel.suggested.map_or(0u64, |c| c as u64 + 1);
-            h = fnv_fold(h, &suggested.to_le_bytes());
+            h = fnv1a64(h, &suggested.to_le_bytes());
         }
-        h = fnv_fold(h, &round.val_f1.to_bits().to_le_bytes());
-        h = fnv_fold(h, &round.test_f1.to_bits().to_le_bytes());
+        h = fnv1a64(h, &round.val_f1.to_bits().to_le_bytes());
+        h = fnv1a64(h, &round.test_f1.to_bits().to_le_bytes());
     }
     for &w in &report.final_w {
-        h = fnv_fold(h, &w.to_bits().to_le_bytes());
+        h = fnv1a64(h, &w.to_bits().to_le_bytes());
     }
     format!("{h:016x}")
 }
@@ -185,9 +174,9 @@ fn store_opts(integrity: IntegrityMode, force_pread: bool) -> StoreOptions {
 fn score_fingerprint(scores: &[InflScore]) -> String {
     let mut h = FNV_OFFSET;
     for s in scores {
-        h = fnv_fold(h, &(s.index as u64).to_le_bytes());
-        h = fnv_fold(h, &(s.suggested as u64).to_le_bytes());
-        h = fnv_fold(h, &s.score.to_bits().to_le_bytes());
+        h = fnv1a64(h, &(s.index as u64).to_le_bytes());
+        h = fnv1a64(h, &(s.suggested as u64).to_le_bytes());
+        h = fnv1a64(h, &s.score.to_bits().to_le_bytes());
     }
     format!("{h:016x}")
 }
@@ -282,11 +271,15 @@ fn run_child(args: &[String]) {
         let mut data = store.to_dataset();
         drop(store);
         random_probabilistic_labels(&mut data, weaken_seed);
-        pipeline.run_store(&model, &mut data, &val, &test, &mut selector)
+        pipeline
+            .round_loop(&model, &mut data, &val, &test, &mut selector)
+            .run_sync()
     } else {
         let mut store = MmapStore::open_with(&train_dir, mmap_opts).expect("open train store");
         random_probabilistic_labels(&mut store, weaken_seed);
-        let report = pipeline.run_store(&model, &mut store, &val, &test, &mut selector);
+        let report = pipeline
+            .round_loop(&model, &mut store, &val, &test, &mut selector)
+            .run_sync();
         store_io = store.io_stats();
         report
     };

@@ -7,7 +7,7 @@
 //! patches, the Increm-Infl frozen `w⁽⁰⁾` provenance, the DeltaGrad-L
 //! provenance trace with its replayable batch plan, the annotator RNG
 //! stream seed, and every finished [`RoundReport`] — such that
-//! [`crate::Pipeline::resume_latest`] continues the loop **bit-identically** to
+//! [`crate::Pipeline::resume`] continues the loop **bit-identically** to
 //! a run that was never interrupted (`tests/checkpoint_resume.rs` pins
 //! this; DESIGN.md §12 documents the guarantee).
 //!
@@ -27,18 +27,19 @@
 //! 64 checksum covers both sections; torn writes and bit flips surface
 //! as [`CheckpointError::Corrupt`], and the generation scan
 //! ([`Checkpoint::latest_in_dir`]) falls back to the previous file.
-//! Writes go to a `.tmp` sibling, are fsynced, then renamed into place,
-//! so a crash mid-write never destroys the previous generation.
+//! Writes go through [`chef_data::store::write_atomic`]: a `.tmp` sibling,
+//! fsynced, renamed into place, then a directory fsync — so neither a
+//! crash nor a power loss mid-write destroys the previous generation.
 
 use crate::increm::{IncremSnapshot, IncremStats};
 use crate::pipeline::RoundReport;
 use crate::selector::{Selection, SelectorCheckpoint};
+use chef_data::store::{fnv1a64, write_atomic, FNV_OFFSET};
 use chef_model::SoftLabel;
 use chef_obs::parse::{expect_schema, parse_json, JsonValue, ParseError};
 use chef_obs::{JsonWriter, RoundTelemetry};
 use chef_train::{BatchPlan, TraceStore, TrainTrace};
 use std::fmt;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -177,22 +178,6 @@ pub struct Checkpoint {
     pub trace: TrainTrace,
     /// Selector state (Increm-Infl frozen provenance for the Infl family).
     pub selector: SelectorCheckpoint,
-}
-
-// ---------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------
-
-/// FNV-1a 64 over `bytes` — cheap, dependency-free, and plenty to catch
-/// torn writes and bit flips (this is corruption *detection*, not
-/// authentication).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ---------------------------------------------------------------------
@@ -498,7 +483,7 @@ impl Checkpoint {
         let mut body = Vec::with_capacity(json.len() + bin.len());
         body.extend_from_slice(json.as_bytes());
         body.extend_from_slice(&bin);
-        let checksum = fnv1a64(&body);
+        let checksum = fnv1a64(FNV_OFFSET, &body);
         let mut out = format!(
             "{CHECKPOINT_VERSION} {} {} {checksum:016x}\n",
             json.len(),
@@ -545,7 +530,7 @@ impl Checkpoint {
                 json_len + bin_len
             )));
         }
-        if fnv1a64(body) != declared {
+        if fnv1a64(FNV_OFFSET, body) != declared {
             return Err(CheckpointError::Corrupt("checksum mismatch".into()));
         }
         let json = std::str::from_utf8(&body[..json_len])
@@ -681,18 +666,11 @@ impl Checkpoint {
         format!("{GENERATION_PREFIX}{round:05}{GENERATION_SUFFIX}")
     }
 
-    /// Atomically write this checkpoint to `path`: serialize, write a
-    /// `.tmp` sibling, fsync, rename into place. Returns the file size
-    /// in bytes.
+    /// Durably write this checkpoint to `path` with
+    /// [`chef_data::store::write_atomic`]. Returns the file size in bytes.
     pub fn write_to(&self, path: &Path) -> Result<u64, CheckpointError> {
         let bytes = self.to_bytes();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
+        write_atomic(path, &bytes)?;
         Ok(bytes.len() as u64)
     }
 
@@ -746,12 +724,9 @@ impl Checkpoint {
         Err(last_err.unwrap_or(CheckpointError::NoCheckpoint(dir.to_path_buf())))
     }
 
-    /// Replay the label patches onto a pristine copy of the dataset the
-    /// original run started from.
-    pub fn apply_labels(
-        &self,
-        data: &mut dyn chef_model::DatasetStore,
-    ) -> Result<(), CheckpointError> {
+    /// Check that every label patch fits `data` (index in range, class
+    /// count equal) without writing anything.
+    pub fn check_labels(&self, data: &dyn chef_model::DatasetStore) -> Result<(), CheckpointError> {
         let c = data.num_classes();
         for p in &self.labels {
             if p.index >= data.len() {
@@ -768,6 +743,20 @@ impl Checkpoint {
                     p.probs.len()
                 )));
             }
+        }
+        Ok(())
+    }
+
+    /// Replay the label patches onto a pristine copy of the dataset the
+    /// original run started from. Every patch is checked
+    /// ([`Self::check_labels`]) before the first is written, so an `Err`
+    /// leaves `data` untouched.
+    pub fn apply_labels(
+        &self,
+        data: &mut dyn chef_model::DatasetStore,
+    ) -> Result<(), CheckpointError> {
+        self.check_labels(&*data)?;
+        for p in &self.labels {
             let label = SoftLabel::new(p.probs.clone());
             if p.clean {
                 data.clean_label(p.index, label);
@@ -1042,6 +1031,7 @@ mod tests {
             (0..12).map(|i| Some(i % 2)).collect(),
             2,
         );
+        let pristine = data.clone();
         let ckpt = sample_checkpoint();
         ckpt.apply_labels(&mut data).unwrap();
         assert!(data.is_clean(4));
@@ -1055,5 +1045,15 @@ mod tests {
             ckpt.apply_labels(&mut small),
             Err(CheckpointError::Mismatch(_))
         ));
+
+        // A later out-of-range patch (9) rejects the whole replay before
+        // the in-range one (4) is written.
+        let mut six = pristine.subset(&[0, 1, 2, 3, 4, 5]);
+        assert!(matches!(
+            ckpt.apply_labels(&mut six),
+            Err(CheckpointError::Mismatch(_))
+        ));
+        assert_eq!(six.label(4), &SoftLabel::uniform(2));
+        assert!(!six.is_clean(4));
     }
 }

@@ -10,15 +10,14 @@
 //! runs the model-constructor, evaluation, telemetry and checkpoint
 //! phases.
 //!
-//! The synchronous [`Pipeline::run`] / [`Pipeline::resume_latest`] API is
-//! reimplemented *on top of* this machine — one code path — so a caller
-//! that answers every batch with
-//! [`AnnotationPhase::decide_batch`](crate::annotation::AnnotationPhase::decide_batch)
-//! outcomes reproduces the blocking loop bit-for-bit. That equivalence is
+//! The one synchronous driver, [`RoundLoop::run_sync`], answers every
+//! batch with [`AnnotationPhase::decide_batch`] outcomes on this same
+//! machine — one code path — so a caller that answers with those
+//! outcomes from anywhere reproduces it bit-for-bit. That equivalence is
 //! what lets `chef-serve` interleave many jobs, deliver replies out of
 //! order, and still assert its final reports against `Pipeline::run`.
 
-use crate::annotation::{AnnotationOutcome, AnnotationStats};
+use crate::annotation::{AnnotationOutcome, AnnotationPhase, AnnotationStats};
 use crate::constructor::{ConstructorKind, ModelConstructor};
 use crate::metrics::evaluate_f1;
 use crate::pipeline::{record_round_counters, Pipeline, RoundReport, StorePipelineReport};
@@ -81,7 +80,7 @@ pub enum RoundStep {
 
 /// Everything the cleaning loop carries across rounds — by construction,
 /// exactly the state a [`crate::Checkpoint`] must persist for
-/// [`Pipeline::resume_latest`] to continue bit-identically.
+/// [`Pipeline::resume`] to continue bit-identically.
 pub(crate) struct LoopState {
     pub(crate) w_raw: Vec<f64>,
     pub(crate) w_eval: Vec<f64>,
@@ -99,7 +98,7 @@ pub(crate) struct LoopState {
 
 /// The select phase's output, parked while the batch is out for
 /// annotation.
-struct PendingRound {
+pub(crate) struct PendingRound {
     selections: Vec<Selection>,
     /// Pre-annotation labels of the selected samples (DeltaGrad-L Eq. 4).
     prior: LabelOverlay,
@@ -118,15 +117,15 @@ struct PendingRound {
 /// job up next. Suspension is lossless — the loop's cross-round state,
 /// any outstanding batch's parked select-phase output, and the
 /// interrupt flag all travel along — and the constructor is rebuilt at
-/// reattach exactly as [`Pipeline::resume_latest`] rebuilds it, which is
+/// reattach exactly as [`Pipeline::resume`] rebuilds it, which is
 /// stateless (`ModelConstructor::update` is `&self`; all cross-round
 /// training state lives in the traveling loop state), so a
 /// suspended-and-reattached run is bit-identical to an uninterrupted
-/// one.
+/// one. A fresh or resumed loop starts as one with no batch pending.
 pub struct SuspendedLoop {
-    state: LoopState,
-    pending: Option<PendingRound>,
-    interrupted: bool,
+    pub(crate) state: LoopState,
+    pub(crate) pending: Option<PendingRound>,
+    pub(crate) interrupted: bool,
 }
 
 impl SuspendedLoop {
@@ -134,16 +133,13 @@ impl SuspendedLoop {
     pub fn round(&self) -> usize {
         self.state.round
     }
-
-    /// Whether a batch was out for annotation at suspension time.
-    pub fn awaiting(&self) -> bool {
-        self.pending.is_some()
-    }
 }
 
 /// The cleaning loop with the annotation phase factored out; see the
-/// module docs. Obtained from [`Pipeline::round_loop`] or
-/// [`Pipeline::resume_round_loop_latest`].
+/// module docs. Obtained from [`Pipeline::round_loop`],
+/// [`Pipeline::resume`] or [`Pipeline::reattach_round_loop`]; driven by
+/// [`Self::next_batch`] / [`Self::provide`] and ended by
+/// [`Self::finish`], or run to completion by [`Self::run_sync`].
 pub struct RoundLoop<'a> {
     pipeline: &'a Pipeline,
     ctor: ModelConstructor,
@@ -165,7 +161,7 @@ impl<'a> RoundLoop<'a> {
         val: &'a dyn DatasetStore,
         test: &'a dyn DatasetStore,
         selector: &'a mut dyn SampleSelector,
-        state: LoopState,
+        start: SuspendedLoop,
     ) -> Self {
         let ctor = pipeline.constructor();
         Self {
@@ -176,33 +172,9 @@ impl<'a> RoundLoop<'a> {
             val,
             test,
             selector,
-            state,
-            pending: None,
-            interrupted: false,
-        }
-    }
-
-    pub(crate) fn from_suspended(
-        pipeline: &'a Pipeline,
-        model: &'a dyn Model,
-        data: &'a mut dyn DatasetStore,
-        val: &'a dyn DatasetStore,
-        test: &'a dyn DatasetStore,
-        selector: &'a mut dyn SampleSelector,
-        suspended: SuspendedLoop,
-    ) -> Self {
-        let ctor = pipeline.constructor();
-        Self {
-            pipeline,
-            ctor,
-            model,
-            data,
-            val,
-            test,
-            selector,
-            state: suspended.state,
-            pending: suspended.pending,
-            interrupted: suspended.interrupted,
+            state: start.state,
+            pending: start.pending,
+            interrupted: start.interrupted,
         }
     }
 
@@ -230,7 +202,7 @@ impl<'a> RoundLoop<'a> {
             self.pending.is_none(),
             "RoundLoop::next_batch: previous batch still awaiting outcomes"
         );
-        let cfg = self.pipeline.config();
+        let cfg = &self.pipeline.cfg;
         let tel = &cfg.telemetry;
         if self.interrupted || self.state.early_terminated || self.state.spent >= cfg.budget {
             return RoundStep::Done;
@@ -371,7 +343,7 @@ impl<'a> RoundLoop<'a> {
             pending.selections.len(),
             "RoundLoop::provide: outcome count does not match the batch"
         );
-        let cfg = self.pipeline.config();
+        let cfg = &self.pipeline.cfg;
         let tel = &cfg.telemetry;
         let state = &mut self.state;
         let c = self.data.num_classes();
@@ -503,12 +475,45 @@ impl<'a> RoundLoop<'a> {
         state.rounds.last().expect("round just pushed")
     }
 
+    /// The synchronous driver: answer every batch at once with the
+    /// in-process simulated panel (or, under `fault-inject`, the injected
+    /// whole-batch timeout), then [`Self::finish`].
+    pub fn run_sync(mut self) -> StorePipelineReport {
+        let cfg = &self.pipeline.cfg;
+        let annotator = AnnotationPhase::new(cfg.annotation);
+        loop {
+            match self.next_batch() {
+                RoundStep::Done => return self.finish(),
+                RoundStep::Awaiting(batch) => {
+                    let annotate_start = Instant::now();
+                    let (outcomes, ann_stats) = if self.pipeline.annotators_time_out(batch.round) {
+                        // Injected timeout: the whole batch abstains —
+                        // labels stay probabilistic, budget slots are
+                        // still consumed.
+                        (
+                            vec![AnnotationOutcome::Ambiguous; batch.items.len()],
+                            AnnotationStats {
+                                requested: batch.items.len(),
+                                abstains: batch.items.len(),
+                                ..AnnotationStats::default()
+                            },
+                        )
+                    } else {
+                        let _span = cfg.telemetry.span("round.annotate");
+                        annotator.decide_batch(&batch)
+                    };
+                    self.provide(&outcomes, ann_stats, annotate_start.elapsed());
+                }
+            }
+        }
+    }
+
     /// Finalize the loop into a report. Calling this with a batch still
     /// outstanding (or before [`RoundStep::Done`]) yields a valid partial
     /// report — the state as of the last completed round — which is what
     /// a cancelled serve job returns.
     pub fn finish(self) -> StorePipelineReport {
-        let tel = &self.pipeline.config().telemetry;
+        let tel = &self.pipeline.cfg.telemetry;
         // Store-integrity and residency counters (additive-optional:
         // in-memory datasets report no io_stats, so existing telemetry
         // exports are byte-identical). Monotonic store-lifetime totals,
@@ -552,10 +557,5 @@ impl<'a> RoundLoop<'a> {
     /// Whether an injected crash cut the loop short.
     pub fn is_interrupted(&self) -> bool {
         self.interrupted
-    }
-
-    /// Whether a batch is out for annotation right now.
-    pub fn awaiting(&self) -> bool {
-        self.pending.is_some()
     }
 }

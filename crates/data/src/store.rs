@@ -98,13 +98,14 @@ pub fn chunk_file_name(idx: usize) -> String {
     format!("chunk-{idx:05}.bin")
 }
 
-// FNV-1a 64-bit, streaming form. chef-core's checkpoint module has the
-// same function, but chef-core depends on chef-data (not vice versa),
-// so the store keeps its own copy rather than inverting the crate DAG.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the `state` to start [`fnv1a64`] from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64, streaming form: fold `bytes` into `state` (start from
+/// [`FNV_OFFSET`]). Corruption *detection*, not authentication; the
+/// store, `checkpoint.v1` and the bench fingerprints all use this copy.
+pub fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
         state = state.wrapping_mul(FNV_PRIME);
@@ -127,6 +128,23 @@ fn fnv1a64_words(mut state: u64, bytes: &[u8]) -> u64 {
         state = state.wrapping_mul(FNV_PRIME);
     }
     fnv1a64(state, words.remainder())
+}
+
+/// Durably replace `path` with `bytes`: write a `.tmp` sibling, fsync
+/// it, rename it over `path`, then fsync the parent directory so the
+/// rename itself survives power loss, not only a process kill. A crash
+/// at any step leaves either the old file or the new one, never a torn
+/// one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
 /// Errors opening or validating a `store.v1` directory.
@@ -559,8 +577,10 @@ impl StoreWriter {
     }
 
     /// Flush the final (possibly short) shard, write `labels.bin` and
-    /// the manifest. The manifest is written last so a crash mid-write
-    /// leaves a directory that [`MmapStore::open`] refuses to serve.
+    /// the manifest. The manifest is written last, through
+    /// [`write_atomic`], so a crash mid-write leaves a directory that
+    /// [`MmapStore::open`] refuses to serve, and a finished store's
+    /// manifest survives power loss.
     pub fn finish(mut self) -> io::Result<Manifest> {
         self.flush_chunk()?;
         let labels_buf = encode_labels(&self.labels, &self.clean, &self.truth, self.num_classes);
@@ -580,9 +600,10 @@ impl StoreWriter {
             labels_fnv_words: fnv1a64_words(FNV_OFFSET, &labels_buf),
             chunks: std::mem::take(&mut self.chunks),
         };
-        let mut f = File::create(self.dir.join(MANIFEST_FILE_V2))?;
-        f.write_all(manifest.render().as_bytes())?;
-        f.sync_all()?;
+        write_atomic(
+            &self.dir.join(MANIFEST_FILE_V2),
+            manifest.render().as_bytes(),
+        )?;
         Ok(manifest)
     }
 }

@@ -717,40 +717,21 @@ impl JobTask {
             shared.set_state(JobState::Running);
         }
         let train = self.train.as_mut().expect("train present until finished");
-        let mut rl = match self.suspended.take() {
-            Some(s) => self.pipeline.reattach_round_loop(
-                &*self.model,
-                train,
-                &self.val,
-                &self.test,
-                &mut *self.selector,
-                s,
-            ),
-            None => match &self.resume_from {
-                None => self.pipeline.round_loop(
-                    &*self.model,
-                    train,
-                    &self.val,
-                    &self.test,
-                    &mut *self.selector,
-                ),
-                Some(dir) => {
-                    match self.pipeline.resume_round_loop_latest(
-                        &*self.model,
-                        train,
-                        &self.val,
-                        &self.test,
-                        &mut *self.selector,
-                        dir,
-                    ) {
-                        Ok(rl) => rl,
-                        Err(e) => {
-                            return SliceOutcome::Failed {
-                                msg: format!("resume failed: {e}"),
-                                round: None,
-                                killed: false,
-                            }
-                        }
+        let (model, val, test) = (&*self.model, &self.val, &self.test);
+        let selector = &mut *self.selector;
+        let mut rl = match (self.suspended.take(), &self.resume_from) {
+            (Some(s), _) => self
+                .pipeline
+                .reattach_round_loop(model, train, val, test, selector, s),
+            (None, None) => self.pipeline.round_loop(model, train, val, test, selector),
+            (None, Some(dir)) => match self.pipeline.resume(model, train, val, test, selector, dir)
+            {
+                Ok(rl) => rl,
+                Err(e) => {
+                    return SliceOutcome::Failed {
+                        msg: format!("resume failed: {e}"),
+                        round: None,
+                        killed: false,
                     }
                 }
             },

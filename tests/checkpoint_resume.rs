@@ -206,9 +206,12 @@ fn check_replay_equivalence(
     let mut cfg = base_config(&dir_int, faults_common.clone(), tel_res.clone());
     cfg.constructor = ctor;
     let mut sel = selector(incremental);
+    let mut fresh = train.clone();
     let resumed = Pipeline::new(cfg)
-        .resume_latest(&model, train.clone(), &val, &test, &mut sel, &dir_int)
-        .expect("resume_latest");
+        .resume(&model, &mut fresh, &val, &test, &mut sel, &dir_int)
+        .expect("resume")
+        .run_sync()
+        .into_report(fresh);
     assert!(!resumed.interrupted);
 
     assert_same_outcome(&reference, &resumed);
@@ -371,13 +374,48 @@ fn resume_with_mismatched_seed_is_rejected() {
     let mut cfg = base_config(&dir, FaultPlan::default(), Telemetry::disabled());
     cfg.annotation.seed = 999; // a different annotator RNG stream
     let mut sel = InflSelector::full();
+    let mut train = train;
     let err = Pipeline::new(cfg)
-        .resume_latest(&model, train, &val, &test, &mut sel, &dir)
+        .resume(&model, &mut train, &val, &test, &mut sel, &dir)
+        .map(|rl| rl.run_sync())
         .unwrap_err();
     assert!(
         matches!(err, CheckpointError::Mismatch(_)),
         "expected Mismatch, got {err:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_with_mismatched_selector_leaves_the_store_pristine() {
+    // An Infl checkpoint handed to a Random selector is rejected, and
+    // the rejection comes before any label patch is written: the
+    // caller's store is still pristine for a retry.
+    let (model, train, val, test) = fixture(1);
+    let dir = scratch("wrong-selector");
+    let cfg = base_config(&dir, FaultPlan::crash_after(1), Telemetry::disabled());
+    let mut sel = InflSelector::full();
+    let crashed = Pipeline::new(cfg).run(&model, train.clone(), &val, &test, &mut sel);
+    assert!(
+        crashed.cleaned_total > 0,
+        "the checkpoint must carry patches"
+    );
+
+    let cfg = base_config(&dir, FaultPlan::default(), Telemetry::disabled());
+    let mut sel = chef_baselines::RandomSelector::new(0);
+    let mut store = train.clone();
+    let err = Pipeline::new(cfg)
+        .resume(&model, &mut store, &val, &test, &mut sel, &dir)
+        .map(|rl| rl.run_sync())
+        .unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::Mismatch(_)),
+        "expected Mismatch, got {err:?}"
+    );
+    for i in 0..train.len() {
+        assert_eq!(store.label(i), train.label(i), "label of sample {i}");
+        assert_eq!(store.is_clean(i), train.is_clean(i), "clean flag of {i}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -388,8 +426,10 @@ fn resume_from_empty_directory_is_a_clear_error() {
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = base_config(&dir, FaultPlan::default(), Telemetry::disabled());
     let mut sel = InflSelector::full();
+    let mut train = train;
     let err = Pipeline::new(cfg)
-        .resume_latest(&model, train, &val, &test, &mut sel, &dir)
+        .resume(&model, &mut train, &val, &test, &mut sel, &dir)
+        .map(|rl| rl.run_sync())
         .unwrap_err();
     assert!(
         matches!(err, CheckpointError::NoCheckpoint(_)),
