@@ -101,14 +101,11 @@ cargo run -q --release -p chef-bench --bin train_kernels -- --quick
 echo "==> train_kernels bench (quick smoke, --no-default-features)"
 cargo run -q --release -p chef-bench --bin train_kernels --no-default-features -- --quick
 
-echo "==> oocs_scale bench (quick smoke, eager integrity: in-memory vs mmap bit-identity + RSS)"
-cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --integrity eager
+echo "==> oocs_scale bench (quick smoke: in-memory vs mmap bit-identity + cold-open lane)"
+cargo run -q --release -p chef-bench --bin oocs_scale -- --quick
 
-echo "==> oocs_scale bench (quick smoke, lazy first-touch integrity + cold-open lane)"
-cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --integrity lazy
-
-echo "==> oocs_scale bench (quick smoke, pread fallback under lazy integrity)"
-cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --integrity lazy --force-pread
+echo "==> oocs_scale bench (quick smoke, pread fallback)"
+cargo run -q --release -p chef-bench --bin oocs_scale -- --quick --force-pread
 # Scratch hygiene: the bench must remove its per-run store directories.
 if compgen -G "target/oocs_scale-*" > /dev/null; then
   echo "oocs_scale left scratch directories behind:" >&2

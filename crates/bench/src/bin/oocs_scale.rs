@@ -2,7 +2,7 @@
 //! dataset vs the same data served from a memory-mapped store
 //! directory, at n ∈ {50k, 200k, 1M} plus a disk-budget-gated n=10M
 //! point, with a **cold-open lane** measuring open → first scored
-//! block under eager vs lazy integrity.
+//! block.
 //!
 //! For each size the parent **streams** a training store to disk once
 //! (`generate_train_store`, so the parent itself never materializes the
@@ -12,40 +12,38 @@
 //!
 //! * `memory`: the child materializes the store into a plain [`Dataset`](chef_model::Dataset)
 //!   and runs the round on it (the pre-§15 configuration),
-//! * `mmap-eager`: the round runs directly on the [`MmapStore`] with a
-//!   bounded residency window and open-time checksum verification,
-//! * `mmap-lazy`: same, but `IntegrityMode::LazyFirstTouch`: each
-//!   block is checksummed on the reading thread when first touched,
-//! * `cold-eager` / `cold-lazy`: no cleaning round — time from
-//!   `open_with` to the first Infl-scored block (256 rows, fixed probe
-//!   vectors), the cold-open lane.
+//! * `mmap-lazy`: the round runs directly on the [`MmapStore`] with a
+//!   bounded residency window; each block is checksummed on the
+//!   reading thread when first touched,
+//! * `cold-lazy`: no cleaning round — time from `open_with` to the
+//!   first Infl-scored block (256 rows, fixed probe vectors), the
+//!   cold-open lane.
 //!
 //! Every full-round child weakens labels with the same seed and reports
 //! a **selection fingerprint** (FNV-1a over every selected index +
 //! suggested label + the final parameter bits + final F1 bits); the
-//! parent asserts all modes match bit-for-bit before writing
+//! parent asserts both modes match bit-for-bit before writing
 //! `BENCH_oocs.json` — the document is only ever written for runs where
-//! out-of-core execution (and integrity laziness) provably changed
-//! nothing but footprint and wall time. The cold-open
-//! children fingerprint their scored block the same way. See DESIGN.md
-//! §15 and EXPERIMENTS.md (`oocs_scale`).
+//! out-of-core execution provably changed nothing but footprint and
+//! wall time. The cold-open child reports `blocks_verified` beside
+//! `probe_blocks`, the number of checksum blocks covering its probe
+//! rows, and the parent asserts they are equal: open verifies no shard
+//! bytes, and first touch verifies exactly what the probe reads. See
+//! DESIGN.md §15 and EXPERIMENTS.md (`oocs_scale`).
 //!
 //! Usage: `cargo run --release -p chef-bench --bin oocs_scale`
-//! (`--quick` for a 50k-only CI smoke with no JSON output, `--integrity
-//! eager|lazy` to pick the quick smoke's mmap mode, `--force-pread` to
-//! smoke the positional-read fallback, `--sizes a,b,c` to override the
-//! size list, `--no-ten-m` to skip the n=10M attempt, `--dir PATH` for
-//! the scratch directory, which defaults to `target/oocs_scale-<pid>`
-//! and is removed on exit).
+//! (`--quick` for a 50k-only CI smoke with no JSON output,
+//! `--force-pread` to smoke the positional-read fallback, `--sizes
+//! a,b,c` to override the size list, `--no-ten-m` to skip the n=10M
+//! attempt, `--dir PATH` for the scratch directory, which defaults to
+//! `target/oocs_scale-<pid>` and is removed on exit).
 
 use chef_core::{
-    rank_infl_with_vector, AnnotationConfig, ConstructorKind, InflScore, InflSelector,
-    LabelStrategy, Pipeline, PipelineConfig, StorePipelineReport,
+    rank_infl_with_vector, AnnotationConfig, ConstructorKind, InflSelector, LabelStrategy,
+    Pipeline, PipelineConfig, StorePipelineReport,
 };
 use chef_data::store::{fnv1a64, write_store, FNV_OFFSET};
-use chef_data::{
-    generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreOptions,
-};
+use chef_data::{generate_train_store, DatasetKind, DatasetSpec, MmapStore, StoreOptions};
 use chef_model::{DatasetStore, LogisticRegression, Model, WeightedObjective};
 use chef_obs::JsonWriter;
 use chef_train::SgdConfig;
@@ -161,32 +159,35 @@ fn dirs_for(root: &Path, n: usize) -> (PathBuf, PathBuf, PathBuf) {
 }
 
 /// Store options for an mmap-mode child.
-fn store_opts(integrity: IntegrityMode, force_pread: bool) -> StoreOptions {
+fn store_opts(force_pread: bool) -> StoreOptions {
     StoreOptions {
         residency_chunks: RESIDENCY_CHUNKS,
         force_pread,
-        integrity,
     }
 }
 
-/// Bit-exact digest of a scored block (cold-open lane): every index,
-/// suggestion and score bit pattern.
-fn score_fingerprint(scores: &[InflScore]) -> String {
-    let mut h = FNV_OFFSET;
-    for s in scores {
-        h = fnv1a64(h, &(s.index as u64).to_le_bytes());
-        h = fnv1a64(h, &(s.suggested as u64).to_le_bytes());
-        h = fnv1a64(h, &s.score.to_bits().to_le_bytes());
+/// Number of checksum blocks covering rows `0..rows` of `store`.
+fn blocks_covering(store: &MmapStore, rows: usize) -> u64 {
+    let m = store.manifest();
+    let row_bytes = m.dim * 8;
+    let mut blocks = 0;
+    for c in 0..m.chunks.len() {
+        let lo = c * m.chunk_rows;
+        if lo >= rows {
+            break;
+        }
+        let bytes = (rows.min(lo + m.chunks[c].rows) - lo) * row_bytes;
+        blocks += bytes.div_ceil(m.block_bytes) as u64;
     }
-    format!("{h:016x}")
+    blocks
 }
 
 /// Cold-open probe: time from `open_with` until the first block of
 /// Infl scores exists. Deterministic probe vectors stand in for the
 /// trained parameters (a real run would need init training first,
-/// which is identical across integrity modes and would drown the
-/// open-path difference this lane isolates).
-fn run_cold_probe(train_dir: &Path, n: usize, integrity: IntegrityMode, mode: &str) {
+/// which touches every block and would drown the open path this lane
+/// isolates).
+fn run_cold_probe(train_dir: &Path, n: usize, mode: &str) {
     let model = LogisticRegression::new(DIM, 2);
     let m = model.num_params();
     let w: Vec<f64> = (0..m).map(|j| 0.01 * ((j % 7) as f64 - 3.0)).collect();
@@ -194,10 +195,11 @@ fn run_cold_probe(train_dir: &Path, n: usize, integrity: IntegrityMode, mode: &s
     let candidates: Vec<usize> = (0..COLD_PROBE_ROWS.min(n)).collect();
 
     let t0 = Instant::now();
-    let store = MmapStore::open_with(train_dir, store_opts(integrity, false)).expect("open store");
+    let store = MmapStore::open_with(train_dir, store_opts(false)).expect("open store");
     let open_s = t0.elapsed().as_secs_f64();
     let scores = rank_infl_with_vector(&model, &store, &w, &v, &candidates, 0.2);
     let cold_s = t0.elapsed().as_secs_f64();
+    assert_eq!(scores.len(), candidates.len(), "every probe row scored");
     let io = store.io_stats().expect("mmap store reports io stats");
 
     let mut out = JsonWriter::new();
@@ -209,8 +211,8 @@ fn run_cold_probe(train_dir: &Path, n: usize, integrity: IntegrityMode, mode: &s
     out.field_u64("probe_rows", candidates.len() as u64);
     out.field_u64("verify_ms", io.verify_ms);
     out.field_u64("blocks_verified", io.blocks_verified);
+    out.field_u64("probe_blocks", blocks_covering(&store, candidates.len()));
     out.field_u64("peak_rss_bytes", peak_rss_bytes());
-    out.field_str("fingerprint", &score_fingerprint(&scores));
     out.end_object();
     println!("{RESULT_MARKER}{}", out.finish());
 }
@@ -232,11 +234,9 @@ fn run_child(args: &[String]) {
     );
     let (train_dir, val_dir, test_dir) = dirs_for(&root, n);
 
-    // Cold-open probes never run the pipeline and need no val/test.
-    match mode.as_str() {
-        "cold-eager" => return run_cold_probe(&train_dir, n, IntegrityMode::Eager, &mode),
-        "cold-lazy" => return run_cold_probe(&train_dir, n, IntegrityMode::LazyFirstTouch, &mode),
-        _ => {}
+    // The cold-open probe never runs the pipeline and needs no val/test.
+    if mode == "cold-lazy" {
+        return run_cold_probe(&train_dir, n, &mode);
     }
 
     // Val/test are small and trusted: materialize for every mode.
@@ -252,13 +252,11 @@ fn run_child(args: &[String]) {
     let pipeline = Pipeline::new(pipeline_config());
     let weaken_seed = SEED ^ 0xabcd;
 
-    // Integrity per mmap mode; `memory` opens eagerly too — the
-    // pre-§15 configuration verified everything before materializing.
-    let mmap_opts = match mode.as_str() {
-        "memory" | "mmap-eager" => store_opts(IntegrityMode::Eager, force_pread),
-        "mmap-lazy" => store_opts(IntegrityMode::LazyFirstTouch, force_pread),
-        other => panic!("unknown --mode {other:?}"),
-    };
+    assert!(
+        mode == "memory" || mode == "mmap-lazy",
+        "unknown --mode {mode:?}"
+    );
+    let mmap_opts = store_opts(force_pread);
 
     let start = Instant::now();
     let mut store_io = None;
@@ -419,26 +417,23 @@ fn cleanup_stores(n: usize, root: &Path) {
     }
 }
 
-/// Cold-open lane: eager vs lazy open-to-first-scored-block, with the
-/// scored block asserted bit-identical. Returns the two fragments and
-/// the eager/lazy speedup.
-fn run_cold_lane(n: usize, root: &Path) -> (String, String, f64) {
-    let cold_eager = spawn_child(n, "cold-eager", root, &[]);
-    let cold_lazy = spawn_child(n, "cold-lazy", root, &[]);
+/// Cold-open lane: open-to-first-scored-block, gated on first touch
+/// verifying exactly the blocks the probe read. Returns the fragment.
+fn run_cold_lane(n: usize, root: &Path) -> String {
+    let cold = spawn_child(n, "cold-lazy", root, &[]);
+    let (verified, probe_blocks) = (
+        field_u64(&cold, "blocks_verified"),
+        field_u64(&cold, "probe_blocks"),
+    );
     assert_eq!(
-        field_str(&cold_eager, "fingerprint"),
-        field_str(&cold_lazy, "fingerprint"),
-        "n={n}: cold-open scored block differs between Eager and LazyFirstTouch"
+        verified, probe_blocks,
+        "n={n}: cold open verified {verified} blocks, its probe rows cover {probe_blocks}"
     );
-    let (eager_s, lazy_s) = (
-        field_f64(&cold_eager, "cold_open_s"),
-        field_f64(&cold_lazy, "cold_open_s"),
-    );
-    let speedup = eager_s / lazy_s.max(1e-9);
     println!(
-        "n={n}: cold-open eager={eager_s:.3}s lazy={lazy_s:.3}s ({speedup:.1}x, scored block bit-identical)"
+        "n={n}: cold-open {:.3}s, {verified} block(s) verified = blocks under the probe rows",
+        field_f64(&cold, "cold_open_s")
     );
-    (cold_eager, cold_lazy, speedup)
+    cold
 }
 
 struct Row {
@@ -446,8 +441,8 @@ struct Row {
     fingerprint: String,
     /// `(json key, child fragment)` per full-round mode that ran.
     modes: Vec<(&'static str, String)>,
-    /// `(cold-eager fragment, cold-lazy fragment, speedup)`.
-    cold: (String, String, f64),
+    /// The cold-open child's fragment.
+    cold: String,
 }
 
 fn main() {
@@ -460,12 +455,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let force_pread = args.iter().any(|a| a == "--force-pread");
     let no_ten_m = args.iter().any(|a| a == "--no-ten-m");
-    let integrity_lane = args
-        .iter()
-        .position(|a| a == "--integrity")
-        .and_then(|i| args.get(i + 1))
-        .map_or("eager", String::as_str)
-        .to_string();
     let sizes: Vec<usize> = match args
         .iter()
         .position(|a| a == "--sizes")
@@ -494,14 +483,8 @@ fn main() {
     );
 
     if quick {
-        // CI smoke: memory vs one mmap configuration (picked by
-        // --integrity / --force-pread), fingerprints asserted, plus the
-        // cold-open lane under lazy so the first-touch path runs.
-        let mmap_mode = match integrity_lane.as_str() {
-            "lazy" => "mmap-lazy",
-            "eager" => "mmap-eager",
-            other => panic!("--integrity must be eager or lazy, got {other:?}"),
-        };
+        // CI smoke: memory vs mmap (pread with --force-pread),
+        // fingerprints asserted, plus the cold-open lane on mmap.
         let extra: Vec<&str> = if force_pread {
             vec!["--force-pread"]
         } else {
@@ -510,16 +493,16 @@ fn main() {
         for &n in &sizes {
             generate_stores(n, &root);
             let memory = spawn_child(n, "memory", &root, &[]);
-            let mmap = spawn_child(n, mmap_mode, &root, &extra);
+            let mmap = spawn_child(n, "mmap-lazy", &root, &extra);
             assert_eq!(
                 field_str(&memory, "fingerprint"),
                 field_str(&mmap, "fingerprint"),
-                "n={n}: memory and {mmap_mode} runs diverged"
+                "n={n}: memory and mmap-lazy runs diverged"
             );
             if !force_pread {
                 run_cold_lane(n, &root);
             }
-            println!("n={n}: quick smoke ok ({mmap_mode}, force_pread={force_pread})");
+            println!("n={n}: quick smoke ok (force_pread={force_pread})");
             cleanup_stores(n, &root);
         }
         if root.exists() {
@@ -533,51 +516,35 @@ fn main() {
     for &n in &sizes {
         generate_stores(n, &root);
         let memory = spawn_child(n, "memory", &root, &[]);
-        let mmap_eager = spawn_child(n, "mmap-eager", &root, &[]);
         let mmap_lazy = spawn_child(n, "mmap-lazy", &root, &[]);
         let fp = field_str(&memory, "fingerprint");
-        for (name, frag) in [("mmap-eager", &mmap_eager), ("mmap-lazy", &mmap_lazy)] {
-            assert_eq!(
-                fp,
-                field_str(frag, "fingerprint"),
-                "n={n}: {name} diverged from the in-memory run"
-            );
-        }
+        assert_eq!(
+            fp,
+            field_str(&mmap_lazy, "fingerprint"),
+            "n={n}: mmap-lazy diverged from the in-memory run"
+        );
         let (rss_mem, rss_lazy) = (
             field_u64(&memory, "peak_rss_bytes"),
             field_u64(&mmap_lazy, "peak_rss_bytes"),
         );
         println!(
-            "n={n}: all three fingerprints match ({fp}); peak RSS memory={} MB mmap-lazy={} MB ({:.2}x)",
+            "n={n}: both fingerprints match ({fp}); peak RSS memory={} MB mmap-lazy={} MB ({:.2}x)",
             rss_mem / (1 << 20),
             rss_lazy / (1 << 20),
             rss_mem as f64 / rss_lazy.max(1) as f64,
         );
         let cold = run_cold_lane(n, &root);
-        if n >= 1_000_000 {
-            assert!(
-                cold.2 >= 5.0,
-                "n={n}: cold-open speedup {:.2}x under LazyFirstTouch is below the 5x target",
-                cold.2
-            );
-        }
         rows.push(Row {
             n,
             fingerprint: fp,
-            modes: vec![
-                ("memory", memory),
-                ("mmap_eager", mmap_eager),
-                ("mmap_lazy", mmap_lazy),
-            ],
+            modes: vec![("memory", memory), ("mmap_lazy", mmap_lazy)],
             cold,
         });
         cleanup_stores(n, &root);
     }
 
     // n=10M proof, gated on scratch-disk budget: ~2.4 GB of train
-    // shards + labels + val/test + slack. The full-round matrix shrinks
-    // to memory vs mmap-lazy (eager cold-open cost is still measured by
-    // the cold lane; a full eager round at 10M adds nothing but hours).
+    // shards + labels + val/test + slack.
     let mut ten_m_skip: Option<String> = None;
     if no_ten_m {
         ten_m_skip = Some("--no-ten-m".to_string());
@@ -595,11 +562,6 @@ fn main() {
                     "n=10M: mmap-lazy diverged from the in-memory run"
                 );
                 let cold = run_cold_lane(TEN_M, &root);
-                assert!(
-                    cold.2 >= 5.0,
-                    "n=10M: cold-open speedup {:.2}x is below the 5x target",
-                    cold.2
-                );
                 rows.push(Row {
                     n: TEN_M,
                     fingerprint: fp,
@@ -684,14 +646,7 @@ fn main() {
             w.raw(frag);
         }
         w.key("cold_open");
-        w.begin_object();
-        w.field_f64("speedup", row.cold.2);
-        w.field_bool("fingerprint_match", true);
-        w.key("eager");
-        w.raw(&row.cold.0);
-        w.key("lazy");
-        w.raw(&row.cold.1);
-        w.end_object();
+        w.raw(&row.cold);
         w.end_object();
     }
     w.end_array();

@@ -138,7 +138,7 @@ pub fn generate(spec: &DatasetSpec, seed: u64) -> Split {
 }
 
 /// Like [`generate`], but **stream the training part straight into an
-/// on-disk `store.v1` directory** instead of materializing it: peak
+/// on-disk `store.v2` directory** instead of materializing it: peak
 /// memory is one shard plus the O(n) label columns, so a training set
 /// larger than RAM can be produced. The (small) validation and test
 /// parts are returned in memory.

@@ -24,9 +24,8 @@
 //! training part directly into a sharded on-disk columnar store (a
 //! `store.v2` directory carrying per-block checksums) that
 //! [`MmapStore`] serves back through `chef_model::DatasetStore` with
-//! features memory-mapped instead of heap-allocated, integrity
-//! verification eager or first-touch-lazy per [`IntegrityMode`]
-//! (DESIGN.md §15).
+//! features memory-mapped instead of heap-allocated and each checksum
+//! block verified on first touch (DESIGN.md §15).
 
 #![warn(missing_docs)]
 
@@ -38,4 +37,4 @@ pub mod store;
 pub use csv::{read_dataset, read_split, write_dataset, write_split, CsvError};
 pub use generator::{generate, generate_train_store, Split};
 pub use spec::{by_name, paper_suite, DatasetKind, DatasetSpec};
-pub use store::{IntegrityMode, Manifest, MmapStore, StoreError, StoreOptions, StoreWriter};
+pub use store::{Manifest, MmapStore, StoreError, StoreOptions, StoreWriter};

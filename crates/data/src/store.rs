@@ -1,4 +1,4 @@
-//! Out-of-core sharded dataset store (`store.v1`).
+//! Out-of-core sharded dataset store (`store.v2`).
 //!
 //! The in-memory [`Dataset`](chef_model::Dataset) keeps the whole
 //! `n × d` feature matrix in
@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! store-dir/
-//!   store.v1           versioned manifest: dims, chunk size, checksums
+//!   store.v2           versioned manifest: dims, chunk size, checksums
 //!   chunk-00000.bin    rows 0..chunk_rows, raw f64 LE, row-major
 //!   chunk-00001.bin    rows chunk_rows..2*chunk_rows
 //!   ...
@@ -34,34 +34,28 @@
 //!   which re-applies its label patches to a freshly opened store on
 //!   resume.
 //!
-//! Integrity: the manifest records an FNV-1a-64 checksum and byte size
-//! per shard (and for `labels.bin`); `store.v2` manifests additionally
-//! carry a **per-block checksum table** (fixed block size, default
-//! 1 MiB) so verification can be block-granular, plus a `labels_fnv64`
-//! line. The v2-only checksums fold FNV over 64-bit words instead of
-//! bytes — the byte-serial chain alone would floor a lazy cold open —
-//! while the v1 fields stay byte-wise so old directories (and v2
-//! manifests demoted to v1) still verify. [`MmapStore::open`]
-//! rejects an unknown manifest version and detects torn shards before
-//! serving any data. *When* shards are verified is governed by
-//! [`IntegrityMode`]:
-//!
-//! * [`Eager`](IntegrityMode::Eager) — stream every shard checksum at
-//!   open through a pooled `pread` buffer (never inflates the resident
-//!   set). O(dataset bytes) before the first row is served.
-//! * [`LazyFirstTouch`](IntegrityMode::LazyFirstTouch) — defer to the
-//!   access path: each block is verified exactly once, on first touch
-//!   (`feature` / `feature_rows` / `gather_rows`), tracked by a
-//!   per-shard atomic bitmap. Cold-open cost becomes O(touched bytes),
-//!   which is what makes the first scored block arrive fast at n=10M.
-//!   Corruption discovered on the access path poisons the store and
-//!   panics with the [`StoreError::Corrupt`] rendering; the fallible
-//!   twins [`MmapStore::verify_rows`] / [`MmapStore::verify_all`]
-//!   surface the error value itself.
+//! Integrity: the manifest records a byte size and a byte-wise
+//! FNV-1a-64 checksum per shard and for `labels.bin`, plus a
+//! **per-block checksum table** (fixed block size, default 1 MiB) and a
+//! `labels_fnv64` line, both folded over 64-bit words — the byte-serial
+//! chain alone would floor every verification. [`MmapStore::open`]
+//! rejects any manifest version but `chef-store.v2`, checks every shard
+//! size and verifies `labels.bin` before serving any data. Shard bytes
+//! are verified **on first touch**: each block exactly once, by the
+//! access path that first reads it (`feature` / `feature_rows` /
+//! `gather_rows`), tracked by a per-shard atomic bitmap. A cleaning
+//! round scores every uncleaned row and retrains over all of them, so
+//! one round verifies every block anyway; deferring the work makes open
+//! cost O(manifest + labels) instead of O(dataset bytes) — the
+//! `ooc-window` benchmark's `store.open_ms` and `store.verify_ms`
+//! counters show the split. Corruption found on the access path
+//! poisons the store and panics with the [`StoreError::Corrupt`]
+//! rendering; [`MmapStore::verify_rows`] / [`MmapStore::verify_all`]
+//! surface the error value itself.
 //!
 //! Verification and residency hints run on the reading thread only: the
 //! access path that consumes a block is the one that checksums it, so
-//! scored results are bit-identical serial or parallel, eager or lazy.
+//! scored results are bit-identical serial or parallel.
 //! See DESIGN.md §15.
 
 use chef_model::{DatasetStore, SoftLabel, StoreIoStats};
@@ -75,15 +69,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Version line of first-generation manifests (whole-shard checksums).
-pub const STORE_VERSION: &str = "chef-store.v1";
-/// Version line of second-generation manifests (per-block checksums).
+/// Version line of the manifest (per-block checksums).
 pub const STORE_VERSION_V2: &str = "chef-store.v2";
-/// First-generation manifest file name inside a store directory.
-pub const MANIFEST_FILE: &str = "store.v1";
-/// Second-generation manifest file name inside a store directory.
-/// [`Manifest::read`] looks for this first and falls back to
-/// [`MANIFEST_FILE`], so v1 directories stay readable.
+/// Manifest file name inside a store directory.
 pub const MANIFEST_FILE_V2: &str = "store.v2";
 /// Label sidecar file name inside a store directory.
 pub const LABELS_FILE: &str = "labels.bin";
@@ -117,10 +105,9 @@ pub fn fnv1a64(mut state: u64, bytes: &[u8]) -> u64 {
 /// byte-wise). The byte-at-a-time form above is a strictly serial
 /// xor→multiply chain (~4 cycles *per byte*), which puts a hard floor
 /// under every verification on the open/first-touch path; folding a
-/// word per step cuts the chain 8×. All checksums that `store.v2`
-/// introduces (the per-block table, the v2 labels hash) use this form;
-/// the whole-shard and v1 labels checksums keep the byte-wise form so
-/// v1 directories still verify.
+/// word per step cuts the chain 8×. The per-block table and the
+/// `labels_fnv64` line use this form; the whole-shard and `labels`
+/// `fnv=` fields stay byte-wise.
 fn fnv1a64_words(mut state: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
@@ -147,12 +134,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
-/// Errors opening or validating a `store.v1` directory.
+/// Errors opening or validating a store directory.
 #[derive(Debug)]
 pub enum StoreError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// The manifest's version line is not [`STORE_VERSION`].
+    /// The manifest's version line is not [`STORE_VERSION_V2`].
     Version(String),
     /// The manifest is syntactically malformed.
     Format(String),
@@ -167,7 +154,7 @@ impl fmt::Display for StoreError {
             StoreError::Version(v) => {
                 write!(
                     f,
-                    "unknown store version {v:?} (expected {STORE_VERSION:?} or {STORE_VERSION_V2:?})"
+                    "unknown store version {v:?} (expected {STORE_VERSION_V2:?})"
                 )
             }
             StoreError::Format(m) => write!(f, "malformed store manifest: {m}"),
@@ -191,18 +178,19 @@ pub struct ChunkMeta {
     pub rows: usize,
     /// Exact byte size of the shard file (`rows × dim × 8`).
     pub bytes: u64,
-    /// FNV-1a-64 checksum of the shard file's contents.
+    /// Byte-wise FNV-1a-64 checksum of the shard file's contents (checked
+    /// when the `pread` fallback loads the whole shard).
     pub fnv: u64,
-    /// Per-block FNV-1a-64 checksums (`store.v2` only; empty for v1).
-    /// Block `b` covers bytes `[b·block_bytes, (b+1)·block_bytes)` of
+    /// Per-block word-folded FNV-1a-64 checksums, checked on first
+    /// touch. Block `b` covers bytes `[b·block_bytes, (b+1)·block_bytes)` of
     /// the shard, with the last block possibly short.
     pub blocks: Vec<u64>,
 }
 
-/// Parsed store manifest (either generation).
+/// Parsed `store.v2` manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Manifest generation: `1` for `store.v1`, `2` for `store.v2`.
+    /// Manifest generation; always `2`.
     pub version: u32,
     /// Total number of samples across all shards.
     pub n: usize,
@@ -212,88 +200,53 @@ pub struct Manifest {
     pub num_classes: usize,
     /// Rows per shard (every shard but the last holds exactly this many).
     pub chunk_rows: usize,
-    /// Verification block size in bytes (`store.v2` only; `0` for v1,
-    /// meaning "the whole shard is one block").
+    /// Verification block size in bytes (positive).
     pub block_bytes: usize,
     /// Byte size of `labels.bin`.
     pub labels_bytes: u64,
-    /// Byte-wise FNV-1a-64 checksum of `labels.bin`. Present in both
-    /// dialects, so a v2 manifest demoted to v1 stays verifiable.
+    /// Byte-wise FNV-1a-64 checksum of `labels.bin` (recorded, not
+    /// checked: opens verify [`labels_fnv_words`](Self::labels_fnv_words)).
     pub labels_fnv: u64,
-    /// Word-folded FNV-1a-64 of `labels.bin` (`store.v2` only; `0` for
-    /// v1). v2 opens verify this one — the byte-serial chain costs ~4
-    /// cycles/byte, which is most of a lazy cold open at n=1M.
+    /// Word-folded FNV-1a-64 of `labels.bin`, verified at every open.
     pub labels_fnv_words: u64,
     /// Shard records, in shard order.
     pub chunks: Vec<ChunkMeta>,
 }
 
 impl Manifest {
-    /// Render the manifest in its on-disk line format. A `version: 1`
-    /// manifest renders byte-identically to what pre-v2 code wrote.
+    /// Render the manifest in its on-disk line format.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(if self.version >= 2 {
-            STORE_VERSION_V2
-        } else {
-            STORE_VERSION
-        });
+        out.push_str(STORE_VERSION_V2);
         out.push('\n');
         out.push_str(&format!("n={}\n", self.n));
         out.push_str(&format!("dim={}\n", self.dim));
         out.push_str(&format!("num_classes={}\n", self.num_classes));
         out.push_str(&format!("chunk_rows={}\n", self.chunk_rows));
-        if self.version >= 2 {
-            out.push_str(&format!("block_bytes={}\n", self.block_bytes));
-        }
+        out.push_str(&format!("block_bytes={}\n", self.block_bytes));
         out.push_str(&format!(
             "labels bytes={} fnv={:016x}\n",
             self.labels_bytes, self.labels_fnv
         ));
-        if self.version >= 2 {
-            out.push_str(&format!("labels_fnv64={:016x}\n", self.labels_fnv_words));
-        }
+        out.push_str(&format!("labels_fnv64={:016x}\n", self.labels_fnv_words));
         out.push_str(&format!("chunks={}\n", self.chunks.len()));
         for (i, c) in self.chunks.iter().enumerate() {
             out.push_str(&format!(
                 "chunk={i} rows={} bytes={} fnv={:016x}\n",
                 c.rows, c.bytes, c.fnv
             ));
-            if self.version >= 2 {
-                out.push_str(&format!("blocks={i}"));
-                for b in &c.blocks {
-                    out.push_str(&format!(" {b:016x}"));
-                }
-                out.push('\n');
+            out.push_str(&format!("blocks={i}"));
+            for b in &c.blocks {
+                out.push_str(&format!(" {b:016x}"));
             }
+            out.push('\n');
         }
         out
     }
 
-    /// Verification block size effective for shard `c`: the manifest's
-    /// `block_bytes` under v2, the whole shard under v1.
-    pub fn effective_block_bytes(&self, c: usize) -> usize {
-        if self.version >= 2 && self.block_bytes > 0 {
-            self.block_bytes
-        } else {
-            self.chunks[c].bytes as usize
-        }
-    }
-
     /// Number of verification blocks in shard `c` (at least 1).
     pub fn num_blocks(&self, c: usize) -> usize {
-        let bytes = self.chunks[c].bytes as usize;
-        bytes.div_ceil(self.effective_block_bytes(c).max(1)).max(1)
-    }
-
-    /// Expected checksum of block `b` of shard `c` (the whole-shard
-    /// checksum under v1, where each shard is a single block).
-    pub fn block_fnv(&self, c: usize, b: usize) -> u64 {
-        if self.version >= 2 {
-            self.chunks[c].blocks[b]
-        } else {
-            self.chunks[c].fnv
-        }
+        self.chunks[c].blocks.len()
     }
 
     /// Parse a manifest from its on-disk text, rejecting unknown
@@ -301,13 +254,9 @@ impl Manifest {
     pub fn parse(text: &str) -> Result<Manifest, StoreError> {
         let mut lines = text.lines();
         let version_line = lines.next().unwrap_or("").trim();
-        let version: u32 = if version_line == STORE_VERSION {
-            1
-        } else if version_line == STORE_VERSION_V2 {
-            2
-        } else {
+        if version_line != STORE_VERSION_V2 {
             return Err(StoreError::Version(version_line.to_string()));
-        };
+        }
         fn kv<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, StoreError> {
             let line = line.ok_or_else(|| StoreError::Format(format!("missing {key} line")))?;
             line.trim()
@@ -328,28 +277,30 @@ impl Manifest {
                 "dim, num_classes and chunk_rows must be positive".into(),
             ));
         }
-        let block_bytes: usize = if version >= 2 {
-            let bb = num(kv(lines.next(), "block_bytes")?, "block_bytes")?;
-            if bb == 0 {
-                return Err(StoreError::Format("block_bytes must be positive".into()));
-            }
-            bb
-        } else {
-            0
-        };
+        // Every shard holds at most `chunk_rows` rows (checked below), so
+        // this bound keeps each shard's `rows × dim × 8` in range.
+        if chunk_rows
+            .checked_mul(dim)
+            .and_then(|x| x.checked_mul(8))
+            .is_none()
+        {
+            return Err(StoreError::Format(format!(
+                "chunk_rows×dim×8 overflows (chunk_rows={chunk_rows}, dim={dim})"
+            )));
+        }
+        let block_bytes: usize = num(kv(lines.next(), "block_bytes")?, "block_bytes")?;
+        if block_bytes == 0 {
+            return Err(StoreError::Format("block_bytes must be positive".into()));
+        }
         let labels_line = lines
             .next()
             .ok_or_else(|| StoreError::Format("missing labels line".into()))?;
         let (labels_bytes, labels_fnv) = parse_sized_entry(labels_line, "labels")?;
-        let labels_fnv_words: u64 = if version >= 2 {
-            let v = kv(lines.next(), "labels_fnv64")?;
-            u64::from_str_radix(v, 16)
-                .map_err(|_| StoreError::Format(format!("bad labels_fnv64 {v:?}")))?
-        } else {
-            0
-        };
+        let v = kv(lines.next(), "labels_fnv64")?;
+        let labels_fnv_words = u64::from_str_radix(v, 16)
+            .map_err(|_| StoreError::Format(format!("bad labels_fnv64 {v:?}")))?;
         let num_chunks: usize = num(kv(lines.next(), "chunks")?, "chunks")?;
-        let mut chunks = Vec::with_capacity(num_chunks);
+        let mut chunks = Vec::new();
         for i in 0..num_chunks {
             let line = lines
                 .next()
@@ -363,33 +314,27 @@ impl Manifest {
                 .ok_or_else(|| StoreError::Format(format!("bad chunk line {line:?}")))?;
             let rows: usize = num(rows_s, "chunk rows")?;
             let (bytes, fnv) = parse_sized_entry(&format!("x {tail}"), "x")?;
-            let blocks = if version >= 2 {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| StoreError::Format(format!("missing blocks {i} line")))?;
-                let rest = line
-                    .trim()
-                    .strip_prefix(&format!("blocks={i}"))
-                    .ok_or_else(|| StoreError::Format(format!("bad blocks line {line:?}")))?;
-                let fnvs: Result<Vec<u64>, StoreError> = rest
-                    .split_whitespace()
-                    .map(|s| {
-                        u64::from_str_radix(s, 16)
-                            .map_err(|_| StoreError::Format(format!("bad block fnv {s:?}")))
-                    })
-                    .collect();
-                let fnvs = fnvs?;
-                let expect = (bytes as usize).div_ceil(block_bytes).max(1);
-                if fnvs.len() != expect {
-                    return Err(StoreError::Format(format!(
-                        "chunk {i} lists {} block checksums, expected {expect}",
-                        fnvs.len()
-                    )));
-                }
-                fnvs
-            } else {
-                Vec::new()
-            };
+            let line = lines
+                .next()
+                .ok_or_else(|| StoreError::Format(format!("missing blocks {i} line")))?;
+            let rest = line
+                .trim()
+                .strip_prefix(&format!("blocks={i}"))
+                .ok_or_else(|| StoreError::Format(format!("bad blocks line {line:?}")))?;
+            let blocks: Vec<u64> = rest
+                .split_whitespace()
+                .map(|s| {
+                    u64::from_str_radix(s, 16)
+                        .map_err(|_| StoreError::Format(format!("bad block fnv {s:?}")))
+                })
+                .collect::<Result<_, _>>()?;
+            let expect = (bytes as usize).div_ceil(block_bytes).max(1);
+            if blocks.len() != expect {
+                return Err(StoreError::Format(format!(
+                    "chunk {i} lists {} block checksums, expected {expect}",
+                    blocks.len()
+                )));
+            }
             chunks.push(ChunkMeta {
                 rows,
                 bytes,
@@ -397,10 +342,12 @@ impl Manifest {
                 blocks,
             });
         }
-        let total: usize = chunks.iter().map(|c| c.rows).sum();
-        if total != n {
+        let total = chunks
+            .iter()
+            .try_fold(0usize, |acc, c| acc.checked_add(c.rows));
+        if total != Some(n) {
             return Err(StoreError::Format(format!(
-                "chunk rows sum to {total}, manifest says n={n}"
+                "chunk rows do not sum to n={n}"
             )));
         }
         for (i, c) in chunks.iter().enumerate() {
@@ -423,7 +370,7 @@ impl Manifest {
             }
         }
         Ok(Manifest {
-            version,
+            version: 2,
             n,
             dim,
             num_classes,
@@ -436,17 +383,9 @@ impl Manifest {
         })
     }
 
-    /// Read and parse the manifest inside `dir`: `store.v2` if present,
-    /// otherwise the legacy `store.v1` (backward-compat open).
+    /// Read and parse the `store.v2` manifest inside `dir`.
     pub fn read(dir: &Path) -> Result<Manifest, StoreError> {
-        match fs::read_to_string(dir.join(MANIFEST_FILE_V2)) {
-            Ok(text) => Manifest::parse(&text),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let text = fs::read_to_string(dir.join(MANIFEST_FILE))?;
-                Manifest::parse(&text)
-            }
-            Err(e) => Err(e.into()),
-        }
+        Manifest::parse(&fs::read_to_string(dir.join(MANIFEST_FILE_V2))?)
     }
 }
 
@@ -608,7 +547,7 @@ impl StoreWriter {
     }
 }
 
-/// Copy any [`DatasetStore`] into a fresh `store.v1` directory.
+/// Copy any [`DatasetStore`] into a fresh `store.v2` directory.
 pub fn write_store(data: &dyn DatasetStore, dir: &Path, chunk_rows: usize) -> io::Result<Manifest> {
     let mut w = StoreWriter::create(dir, data.dim(), data.num_classes(), chunk_rows)?;
     for i in 0..data.len() {
@@ -652,16 +591,24 @@ fn encode_labels(
 type DecodedLabels = (Vec<SoftLabel>, Vec<bool>, Vec<Option<usize>>);
 
 fn decode_labels(buf: &[u8], n: usize, num_classes: usize) -> Result<DecodedLabels, StoreError> {
-    let expect = n * num_classes * 8 + n + n * 8;
+    // n × (8C + 9) bytes: C f64 probabilities, a clean byte, an i64 truth.
+    let expect = num_classes
+        .checked_mul(8)
+        .and_then(|x| x.checked_add(9))
+        .and_then(|x| x.checked_mul(n))
+        .ok_or_else(|| {
+            StoreError::Format(format!(
+                "labels.bin size overflows (n={n}, num_classes={num_classes})"
+            ))
+        })?;
     if buf.len() != expect {
         return Err(StoreError::Corrupt(format!(
             "labels.bin is {} bytes, expected {expect}",
             buf.len()
         )));
     }
-    // This loop is the floor of the lazy cold open (it runs once per
-    // sample whatever the integrity mode), so it takes the trusted
-    // constructor: the bytes just passed the manifest checksum and were
+    // This loop is the floor of the cold open (it runs once per
+    // sample), so it takes the trusted constructor: the bytes just passed the manifest checksum and were
     // written from validated `SoftLabel`s, and re-validating a million
     // rows costs more than the entire rest of a lazy open.
     let clean_at = n * num_classes * 8;
@@ -677,32 +624,20 @@ fn decode_labels(buf: &[u8], n: usize, num_classes: usize) -> Result<DecodedLabe
         .iter()
         .map(|&b| b != 0)
         .collect();
+    // Ground truth is used as a class index, so it is range-checked even
+    // though the checksum passed.
     let truth = buf[clean_at + n..]
         .chunks_exact(8)
-        .map(|b| {
-            let v = i64::from_le_bytes(b.try_into().unwrap());
-            if v < 0 {
-                None
-            } else {
-                Some(v as usize)
-            }
+        .enumerate()
+        .map(|(i, b)| match i64::from_le_bytes(b.try_into().unwrap()) {
+            v if v < 0 => Ok(None),
+            v if (v as u64) < num_classes as u64 => Ok(Some(v as usize)),
+            v => Err(StoreError::Corrupt(format!(
+                "labels.bin: ground truth {v} of row {i} is not a class of {num_classes}"
+            ))),
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     Ok((labels, clean, truth))
-}
-
-/// When shard checksums are verified. File sizes are checked at open
-/// in both modes, and `labels.bin` (O(n), RAM-resident anyway) is
-/// always verified at open.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntegrityMode {
-    /// Stream every shard checksum at open. Cold-open is O(dataset
-    /// bytes); all subsequent reads are free of verification cost.
-    Eager,
-    /// Verify each block the first time it is touched on the access
-    /// path. Cold-open is O(touched bytes); a corrupt block surfaces
-    /// the moment something reads it.
-    LazyFirstTouch,
 }
 
 /// How an [`MmapStore`] opens its shards.
@@ -715,9 +650,6 @@ pub struct StoreOptions {
     /// Skip `mmap` and use the `pread` fallback (loads every chunk
     /// into an owned buffer — correctness fallback, not memory-bounded).
     pub force_pread: bool,
-    /// When shard checksums are verified (default: [`IntegrityMode::Eager`],
-    /// matching the historical open-time behaviour).
-    pub integrity: IntegrityMode,
 }
 
 impl Default for StoreOptions {
@@ -725,7 +657,6 @@ impl Default for StoreOptions {
         StoreOptions {
             residency_chunks: 32,
             force_pread: false,
-            integrity: IntegrityMode::Eager,
         }
     }
 }
@@ -736,7 +667,7 @@ enum ChunkData {
     Loaded(Vec<f64>),
 }
 
-/// A `store.v1` directory opened for the cleaning pipeline: features
+/// A `store.v2` directory opened for the cleaning pipeline: features
 /// served from memory-mapped shards, label columns RAM-resident.
 ///
 /// ```
@@ -771,10 +702,8 @@ pub struct MmapStore {
     // straight-line path (consecutive reads land in the same chunk).
     last_touched: AtomicUsize,
     residency_chunks: usize,
-    // First-touch verification state; `None` under Eager (already
-    // verified at open), so the access-path check is a single Option
-    // discriminant load.
-    verify: Option<LazyVerify>,
+    // First-touch verification state.
+    verify: LazyVerify,
     // Once a corrupt block is seen the whole store is poisoned: every
     // subsequent verified access fails with the same message, whichever
     // reader thread found the corruption first.
@@ -819,42 +748,40 @@ impl IoCounters {
 impl MmapStore {
     /// Open `dir` with default [`StoreOptions`].
     ///
+    /// Open checks the manifest, every shard's size and `labels.bin`,
+    /// but not shard contents: each block is checksummed on first
+    /// touch, and a corrupt block panics the read that reaches it. A
+    /// caller that must reject a damaged store before serving anything
+    /// from it calls [`verify_all`](Self::verify_all) (or
+    /// [`verify_rows`](Self::verify_rows) for a range) right after open.
+    ///
     /// # Errors
     ///
-    /// [`StoreError::Version`] for an unknown manifest version,
-    /// [`StoreError::Corrupt`] for torn shards (size or checksum
-    /// mismatch), [`StoreError::Format`]/[`StoreError::Io`] otherwise.
+    /// [`StoreError::Version`] for any manifest version but
+    /// `chef-store.v2`, [`StoreError::Corrupt`] for torn shards (size
+    /// mismatch, or a checksum mismatch in a shard the `pread` fallback
+    /// loads) or a damaged `labels.bin`,
+    /// [`StoreError::Format`]/[`StoreError::Io`] otherwise.
     pub fn open(dir: &Path) -> Result<MmapStore, StoreError> {
         MmapStore::open_with(dir, StoreOptions::default())
     }
 
-    /// Open `dir` with explicit options.
+    /// Open `dir` with explicit options (see [`open`](Self::open)).
     pub fn open_with(dir: &Path, opts: StoreOptions) -> Result<MmapStore, StoreError> {
         let manifest = Manifest::read(dir)?;
-        let lazy = opts.integrity == IntegrityMode::LazyFirstTouch;
-
-        // One pooled scratch buffer serves every streamed checksum this
-        // open performs (under Eager, all shards).
-        let mut scratch = vec![0u8; 1 << 20];
         let mut open_verify_ns = 0u64;
         let mut open_blocks = 0u64;
 
         // Label sidecar: small (O(n)) and RAM-resident by design, so it
-        // is verified in every integrity mode — cleaning decisions never
-        // run on unverified labels. Unlike the shards it is about to be
-        // decoded into RAM anyway, so read it once and hash the buffer
-        // in memory rather than paying a streamed-verify pass plus a
-        // read pass; the transient buffer is the same O(n·C) the decoded
-        // labels occupy. This is the floor of the lazy cold open.
+        // is verified at open — cleaning decisions never run on
+        // unverified labels. It is about to be decoded into RAM anyway,
+        // so read it once and hash the buffer in memory; the transient
+        // buffer is the same O(n·C) the decoded labels occupy.
         let labels_path = dir.join(LABELS_FILE);
         let labels_buf = fs::read(&labels_path)?;
         let t0 = Instant::now();
         let labels_ok = labels_buf.len() as u64 == manifest.labels_bytes
-            && if manifest.version >= 2 {
-                fnv1a64_words(FNV_OFFSET, &labels_buf) == manifest.labels_fnv_words
-            } else {
-                fnv1a64(FNV_OFFSET, &labels_buf) == manifest.labels_fnv
-            };
+            && fnv1a64_words(FNV_OFFSET, &labels_buf) == manifest.labels_fnv_words;
         open_verify_ns += t0.elapsed().as_nanos() as u64;
         if !labels_ok {
             return Err(StoreError::Corrupt(
@@ -865,7 +792,7 @@ impl MmapStore {
         drop(labels_buf);
 
         let mut data = Vec::with_capacity(manifest.chunks.len());
-        let mut verify_bits: Vec<Vec<AtomicU64>> = Vec::new();
+        let mut verify_bits: Vec<Vec<AtomicU64>> = Vec::with_capacity(manifest.chunks.len());
         for (i, meta) in manifest.chunks.iter().enumerate() {
             let path = dir.join(chunk_file_name(i));
             let file = File::open(&path)?;
@@ -876,22 +803,6 @@ impl MmapStore {
                     chunk_file_name(i),
                     meta.bytes
                 )));
-            }
-            if opts.integrity == IntegrityMode::Eager {
-                // Stream the checksum through pread with the pooled
-                // buffer: the pages go through the page cache, not this
-                // process's resident set, so opening a 1M-row store does
-                // not cost 1M rows of RSS.
-                let t0 = Instant::now();
-                let state = streamed_file_fnv(&file, size, &mut scratch)?;
-                open_verify_ns += t0.elapsed().as_nanos() as u64;
-                open_blocks += 1; // whole-shard units under Eager
-                if state != meta.fnv {
-                    return Err(StoreError::Corrupt(format!(
-                        "torn shard {}: checksum mismatch",
-                        chunk_file_name(i)
-                    )));
-                }
             }
             let mapped = if opts.force_pread {
                 None
@@ -907,37 +818,28 @@ impl MmapStore {
                     _ => None,
                 }
             };
-            let chunk = match mapped {
-                Some(map) => ChunkData::Mapped(map),
+            let (chunk, verified) = match mapped {
+                Some(map) => (ChunkData::Mapped(map), 0u64),
                 None => {
+                    // The loaded fallback materializes the whole shard
+                    // now anyway, so verify it in full here against the
+                    // whole-shard checksum; its bitmap is born all-set.
                     let bytes = read_file_bytes(&file, size)?;
-                    if lazy {
-                        // The loaded fallback materializes the whole
-                        // shard now anyway, so verify it in full here;
-                        // its lazy bitmap is born all-set below.
-                        let t0 = Instant::now();
-                        let ok = fnv1a64(FNV_OFFSET, &bytes) == meta.fnv;
-                        open_verify_ns += t0.elapsed().as_nanos() as u64;
-                        open_blocks += manifest.num_blocks(i) as u64;
-                        if !ok {
-                            return Err(StoreError::Corrupt(format!(
-                                "torn shard {}: checksum mismatch",
-                                chunk_file_name(i)
-                            )));
-                        }
+                    let t0 = Instant::now();
+                    let ok = fnv1a64(FNV_OFFSET, &bytes) == meta.fnv;
+                    open_verify_ns += t0.elapsed().as_nanos() as u64;
+                    open_blocks += manifest.num_blocks(i) as u64;
+                    if !ok {
+                        return Err(StoreError::Corrupt(format!(
+                            "torn shard {}: checksum mismatch",
+                            chunk_file_name(i)
+                        )));
                     }
-                    ChunkData::Loaded(bytes_to_floats(&bytes))
+                    (ChunkData::Loaded(bytes_to_floats(&bytes)), !0u64)
                 }
             };
-            if lazy {
-                let nb = manifest.num_blocks(i);
-                let words = nb.div_ceil(64);
-                let init = match &chunk {
-                    ChunkData::Mapped(_) => 0u64,
-                    ChunkData::Loaded(_) => !0u64, // verified at load
-                };
-                verify_bits.push((0..words).map(|_| AtomicU64::new(init)).collect());
-            }
+            let words = manifest.num_blocks(i).div_ceil(64);
+            verify_bits.push((0..words).map(|_| AtomicU64::new(verified)).collect());
             data.push(chunk);
         }
 
@@ -950,7 +852,7 @@ impl MmapStore {
             resident: Mutex::new(VecDeque::new()),
             last_touched: AtomicUsize::new(usize::MAX),
             residency_chunks: opts.residency_chunks,
-            verify: lazy.then_some(LazyVerify { bits: verify_bits }),
+            verify: LazyVerify { bits: verify_bits },
             poisoned: AtomicBool::new(false),
             poison_msg: Mutex::new(None),
             stats,
@@ -965,9 +867,8 @@ impl MmapStore {
         &self.manifest
     }
 
-    /// Verify (first-touch) every not-yet-verified block covering rows
-    /// `lo..hi`, returning the corruption instead of panicking. A no-op
-    /// under [`IntegrityMode::Eager`].
+    /// Verify every not-yet-verified block covering rows `lo..hi`,
+    /// returning the corruption instead of panicking.
     pub fn verify_rows(&self, lo: usize, hi: usize) -> Result<(), StoreError> {
         assert!(
             lo <= hi && hi <= self.manifest.n,
@@ -986,8 +887,8 @@ impl MmapStore {
         Ok(())
     }
 
-    /// Verify every not-yet-verified block in the store (fallible twin
-    /// of an eager open, usable after a lazy one).
+    /// Verify every not-yet-verified block in the store: the fallible,
+    /// reject-before-serving check.
     pub fn verify_all(&self) -> Result<(), StoreError> {
         for (c, meta) in self.manifest.chunks.iter().enumerate() {
             self.ensure_bytes_verified(c, 0, meta.bytes as usize)?;
@@ -1045,15 +946,12 @@ impl MmapStore {
         byte_lo: usize,
         byte_hi: usize,
     ) -> Result<(), StoreError> {
-        let Some(v) = &self.verify else {
-            return Ok(());
-        };
         self.poison_check()?;
         if byte_hi <= byte_lo {
             return Ok(());
         }
-        let bb = self.manifest.effective_block_bytes(c).max(1);
-        let words = &v.bits[c];
+        let bb = self.manifest.block_bytes;
+        let words = &self.verify.bits[c];
         for b in byte_lo / bb..=(byte_hi - 1) / bb {
             if words[b / 64].load(Ordering::Relaxed) & (1u64 << (b % 64)) != 0 {
                 self.stats.lazy_verify_hits.fetch_add(1, Ordering::Relaxed);
@@ -1067,19 +965,11 @@ impl MmapStore {
     /// Checksum one block against the manifest table, set its bitmap
     /// bit on success, poison the store on mismatch.
     fn verify_block(&self, c: usize, b: usize) -> Result<(), StoreError> {
-        let v = self.verify.as_ref().expect("verify_block without state");
-        let bb = self.manifest.effective_block_bytes(c).max(1);
+        let bb = self.manifest.block_bytes;
         let got = match &self.data[c] {
             ChunkData::Mapped(m) => {
                 let t0 = Instant::now();
-                // v2 block-table entries are word-folded; a v1 manifest
-                // has one "block" per shard checked against its
-                // byte-wise whole-shard checksum.
-                let got = if self.manifest.version >= 2 {
-                    fnv1a64_words(FNV_OFFSET, m.byte_range(b * bb, bb))
-                } else {
-                    fnv1a64(FNV_OFFSET, m.byte_range(b * bb, bb))
-                };
+                let got = fnv1a64_words(FNV_OFFSET, m.byte_range(b * bb, bb));
                 self.stats
                     .verify_ns
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -1091,7 +981,7 @@ impl MmapStore {
             // but answering "verified" keeps it harmless if it ever did.
             ChunkData::Loaded(_) => return Ok(()),
         };
-        if got != self.manifest.block_fnv(c, b) {
+        if got != self.manifest.chunks[c].blocks[b] {
             let msg = format!(
                 "torn shard {}: block {b} checksum mismatch (first-touch)",
                 chunk_file_name(c)
@@ -1100,7 +990,7 @@ impl MmapStore {
             return Err(StoreError::Corrupt(msg));
         }
         self.stats.blocks_verified.fetch_add(1, Ordering::Relaxed);
-        v.bits[c][b / 64].fetch_or(1u64 << (b % 64), Ordering::Relaxed);
+        self.verify.bits[c][b / 64].fetch_or(1u64 << (b % 64), Ordering::Relaxed);
         Ok(())
     }
 
@@ -1314,21 +1204,6 @@ impl DatasetStore for MmapStore {
     }
 }
 
-/// Stream an FNV-1a-64 checksum over a whole file through `pread` and
-/// a caller-pooled scratch buffer (pages pass through the page cache,
-/// not this process's resident set).
-fn streamed_file_fnv(file: &File, size: u64, scratch: &mut [u8]) -> io::Result<u64> {
-    let mut state = FNV_OFFSET;
-    let mut off = 0u64;
-    while off < size {
-        let take = scratch.len().min((size - off) as usize);
-        memmap::read_exact_at(file, &mut scratch[..take], off)?;
-        state = fnv1a64(state, &scratch[..take]);
-        off += take as u64;
-    }
-    Ok(state)
-}
-
 fn read_file_bytes(file: &File, size: u64) -> io::Result<Vec<u8>> {
     let mut bytes = vec![0u8; size as usize];
     memmap::read_exact_at(file, &mut bytes, 0)?;
@@ -1473,50 +1348,12 @@ mod tests {
         write_store(&fixture(5, 2), &dir, 4).unwrap();
         let path = dir.join(MANIFEST_FILE_V2);
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, text.replacen("chef-store.v2", "chef-store.v3", 1)).unwrap();
-        match MmapStore::open(&dir) {
-            Err(StoreError::Version(v)) => assert_eq!(v, "chef-store.v3"),
-            other => panic!("expected version error, got {other:?}"),
-        }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_manifest_directories_still_open() {
-        let dir = tmp_dir("v1compat");
-        let data = fixture(23, 3);
-        let m2 = write_store(&data, &dir, 6).unwrap();
-        // Rewrite the directory as a v1-era one: demote the manifest to
-        // generation 1 (whole-shard checksums only) under the old file
-        // name and drop store.v2.
-        let m1 = Manifest {
-            version: 1,
-            block_bytes: 0,
-            chunks: m2
-                .chunks
-                .iter()
-                .map(|c| ChunkMeta {
-                    blocks: Vec::new(),
-                    ..c.clone()
-                })
-                .collect(),
-            ..m2.clone()
-        };
-        fs::write(dir.join(MANIFEST_FILE), m1.render()).unwrap();
-        fs::remove_file(dir.join(MANIFEST_FILE_V2)).unwrap();
-        for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
-            let store = MmapStore::open_with(
-                &dir,
-                StoreOptions {
-                    integrity,
-                    ..StoreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(store.manifest().version, 1);
-            assert_same(&data, &store);
-            // Under lazy, a v1 shard is one whole-shard block.
-            store.verify_all().unwrap();
+        for version in ["chef-store.v3", "chef-store.v1"] {
+            fs::write(&path, text.replacen("chef-store.v2", version, 1)).unwrap();
+            match MmapStore::open(&dir) {
+                Err(StoreError::Version(v)) => assert_eq!(v, version),
+                other => panic!("expected version error, got {other:?}"),
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1528,7 +1365,7 @@ mod tests {
         assert_eq!(m.version, 2);
         assert_eq!(m.block_bytes, DEFAULT_BLOCK_BYTES);
         assert!(dir.join(MANIFEST_FILE_V2).exists());
-        assert!(!dir.join(MANIFEST_FILE).exists());
+        assert!(!dir.join("store.v1").exists());
         for (c, meta) in m.chunks.iter().enumerate() {
             // Shards here are far below one block, so each is a single
             // block covering the whole shard: the word-folded block
@@ -1542,7 +1379,6 @@ mod tests {
                 "chunk {c}"
             );
             assert_eq!(m.num_blocks(c), 1);
-            assert_eq!(m.block_fnv(c, 0), meta.blocks[0]);
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1565,14 +1401,7 @@ mod tests {
         }
         let m = w.finish().unwrap();
         assert_eq!(m.chunks[0].blocks.len(), 4);
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = MmapStore::open(&dir).unwrap();
         assert_same(&data, &store);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1582,14 +1411,7 @@ mod tests {
         let dir = tmp_dir("lazyonce");
         let data = fixture(40, 3);
         write_store(&data, &dir, 8).unwrap(); // 5 shards, 1 block each
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = MmapStore::open(&dir).unwrap();
         let at_open = store.io_stats().unwrap();
         assert_eq!(at_open.blocks_verified, 0, "nothing touched yet");
         for i in 0..40 {
@@ -1629,14 +1451,7 @@ mod tests {
         let at = bytes.len() - 5;
         bytes[at] ^= 0x10;
         fs::write(&chunk, &bytes).unwrap();
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = MmapStore::open(&dir).unwrap();
         // Untouched-block reads still fine:
         assert_eq!(store.feature(0), data.feature(0));
         store.verify_rows(0, 6).unwrap();
@@ -1677,9 +1492,85 @@ mod tests {
         let mut bytes = fs::read(&chunk).unwrap();
         bytes[3] ^= 0x40; // same size, different contents
         fs::write(&chunk, &bytes).unwrap();
-        match MmapStore::open(&dir) {
+        let store = MmapStore::open(&dir).unwrap();
+        match store.verify_all() {
             Err(StoreError::Corrupt(msg)) => assert!(msg.contains("checksum"), "{msg}"),
             other => panic!("expected checksum error, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overflowing_sizes_are_format_errors_not_panics() {
+        // rows × dim × 8 overflows usize.
+        let text = "chef-store.v2\nn=1\ndim=2305843009213693952\nnum_classes=2\n\
+                    chunk_rows=1\nblock_bytes=64\nlabels bytes=0 fnv=0000000000000000\n\
+                    labels_fnv64=0000000000000000\nchunks=1\n\
+                    chunk=0 rows=1 bytes=0 fnv=0000000000000000\nblocks=0 0000000000000000\n";
+        assert!(
+            matches!(Manifest::parse(text), Err(StoreError::Format(_))),
+            "{:?}",
+            Manifest::parse(text)
+        );
+        // A chunk count far beyond the lines that follow it.
+        let text = text
+            .replace("dim=2305843009213693952", "dim=2")
+            .replace("chunks=1", "chunks=1000000000000000000");
+        assert!(
+            matches!(Manifest::parse(&text), Err(StoreError::Format(_))),
+            "{:?}",
+            Manifest::parse(&text)
+        );
+        // A manifest whose n × (8·num_classes + 9) labels.bin size
+        // overflows, beside an empty labels.bin that matches its
+        // recorded size and checksum.
+        let dir = tmp_dir("overflow");
+        fs::create_dir_all(&dir).unwrap();
+        let n = 1usize << 40;
+        let m = Manifest {
+            version: 2,
+            n,
+            dim: 1,
+            num_classes: 1 << 30,
+            chunk_rows: n,
+            block_bytes: 1 << 50,
+            labels_bytes: 0,
+            labels_fnv: FNV_OFFSET,
+            labels_fnv_words: FNV_OFFSET,
+            chunks: vec![ChunkMeta {
+                rows: n,
+                bytes: (n * 8) as u64,
+                fnv: 0,
+                blocks: vec![0],
+            }],
+        };
+        fs::write(dir.join(MANIFEST_FILE_V2), m.render()).unwrap();
+        fs::write(dir.join(LABELS_FILE), b"").unwrap();
+        match MmapStore::open(&dir) {
+            Err(StoreError::Format(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+            other => panic!("expected format error, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn out_of_range_ground_truth_is_rejected() {
+        let dir = tmp_dir("truth");
+        write_store(&fixture(6, 2), &dir, 4).unwrap();
+        // Row 1's truth becomes class 7 of a 2-class store, with both
+        // labels checksums recomputed so only the range check can catch it.
+        let labels_path = dir.join(LABELS_FILE);
+        let mut buf = fs::read(&labels_path).unwrap();
+        let at = 6 * 2 * 8 + 6 + 8;
+        buf[at..at + 8].copy_from_slice(&7i64.to_le_bytes());
+        fs::write(&labels_path, &buf).unwrap();
+        let mut m = Manifest::read(&dir).unwrap();
+        m.labels_fnv = fnv1a64(FNV_OFFSET, &buf);
+        m.labels_fnv_words = fnv1a64_words(FNV_OFFSET, &buf);
+        fs::write(dir.join(MANIFEST_FILE_V2), m.render()).unwrap();
+        match MmapStore::open(&dir) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("ground truth 7"), "{msg}"),
+            other => panic!("expected corrupt error, got {other:?}"),
         }
         fs::remove_dir_all(&dir).unwrap();
     }

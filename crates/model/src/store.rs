@@ -70,11 +70,12 @@ use crate::label::SoftLabel;
 /// implementation can report without pulling in the telemetry machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreIoStats {
-    /// Total milliseconds spent checksum-verifying shard bytes (eager
-    /// open streaming plus lazy first-touch checks).
+    /// Total milliseconds spent checksum-verifying store bytes: the
+    /// labels sidecar at open, first-touch block checks, and whole
+    /// shards the `pread` fallback loads at open.
     pub verify_ms: u64,
-    /// Integrity units actually checksummed: whole shards under eager
-    /// verification, individual blocks under lazy first-touch.
+    /// Checksum blocks verified so far, each at most once. A shard the
+    /// `pread` fallback loads counts all of its blocks.
     pub blocks_verified: u64,
     /// Access-path verification lookups satisfied by the first-touch
     /// bitmap (the block was already verified) — evidence each block is

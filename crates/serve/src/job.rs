@@ -215,16 +215,11 @@ impl JobManager {
     /// Start a manager whose jobs annotate through `host`, with the
     /// default pool configuration ([`SchedConfig::default`]).
     pub fn new(host: Box<dyn AnnotatorHost>) -> Self {
-        Self::with_telemetry(host, Telemetry::enabled())
+        Self::with_config(host, Telemetry::enabled(), SchedConfig::default())
     }
 
-    /// [`Self::new`] with a caller-provided telemetry handle for the
-    /// `serve.*` counters and `sched.*` gauges.
-    pub fn with_telemetry(host: Box<dyn AnnotatorHost>, telemetry: Telemetry) -> Self {
-        Self::with_config(host, telemetry, SchedConfig::default())
-    }
-
-    /// Full-control constructor: pool size and admission bound.
+    /// Full-control constructor: the telemetry handle for the `serve.*`
+    /// counters and `sched.*` gauges, pool size and admission bound.
     pub fn with_config(
         host: Box<dyn AnnotatorHost>,
         telemetry: Telemetry,

@@ -1,6 +1,6 @@
 //! Golden-file round-trip tests for the three versioned on-disk formats:
 //! `telemetry.v1` (exported JSON), `checkpoint.v1` (header + JSON +
-//! binary payload) and `store.v1` (the out-of-core dataset manifest,
+//! binary payload) and `store.v2` (the out-of-core dataset manifest,
 //! DESIGN.md §15).
 //!
 //! Two guarantees are pinned here:
@@ -268,50 +268,11 @@ fn pre_tracestore_golden_checkpoint_loads_with_exact_rows() {
     assert_eq!(decoded.to_bytes(), golden);
 }
 
-/// A hand-assembled `store.v1` manifest with every field populated and
+/// A hand-assembled `store.v2` manifest with every field populated and
 /// the invariants the parser enforces (per-chunk `bytes = rows·dim·8`,
 /// full chunks of `chunk_rows` rows except a short tail, rows summing
-/// to `n`) satisfied.
-fn golden_store_manifest() -> chef_data::Manifest {
-    use chef_data::store::ChunkMeta;
-    let dim = 3;
-    chef_data::Manifest {
-        version: 1,
-        n: 10,
-        dim,
-        num_classes: 2,
-        chunk_rows: 4,
-        block_bytes: 0,
-        labels_bytes: 250,
-        labels_fnv: 0xdead_beef_0bad_f00d,
-        labels_fnv_words: 0,
-        chunks: vec![
-            ChunkMeta {
-                rows: 4,
-                bytes: (4 * dim * 8) as u64,
-                fnv: 0x0123_4567_89ab_cdef,
-                blocks: vec![],
-            },
-            ChunkMeta {
-                rows: 4,
-                bytes: (4 * dim * 8) as u64,
-                fnv: 0xfedc_ba98_7654_3210,
-                blocks: vec![],
-            },
-            ChunkMeta {
-                rows: 2,
-                bytes: (2 * dim * 8) as u64,
-                fnv: 0x0f1e_2d3c_4b5a_6978,
-                blocks: vec![],
-            },
-        ],
-    }
-}
-
-/// The v2 twin: same logical content plus the per-block checksum table
-/// (one 32-byte block per 96-byte shard would be silly, so the golden
-/// uses a 64-byte block size giving two blocks per full shard and one
-/// for the short tail).
+/// to `n`, one checksum per block) satisfied. The 64-byte block size
+/// gives two blocks per 96-byte full shard and one for the short tail.
 fn golden_store_manifest_v2() -> chef_data::Manifest {
     use chef_data::store::ChunkMeta;
     let dim = 3;
@@ -349,23 +310,6 @@ fn golden_store_manifest_v2() -> chef_data::Manifest {
 }
 
 #[test]
-fn store_manifest_golden_file_reserializes_byte_identical() {
-    let path = golden_dir().join("store_v1_golden.manifest");
-    if regen() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
-        std::fs::write(&path, golden_store_manifest().render()).unwrap();
-    }
-    let golden = std::fs::read_to_string(&path)
-        .expect("golden file missing — run CHEF_REGEN_GOLDEN=1 cargo test --test schema_roundtrip");
-    // The committed text still parses (format drift guard)…
-    let decoded = chef_data::Manifest::parse(&golden).expect("golden manifest parses");
-    // …re-renders byte-identically…
-    assert_eq!(decoded.render(), golden);
-    // …and matches today's renderer for the same logical content.
-    assert_eq!(golden_store_manifest().render(), golden);
-}
-
-#[test]
 fn store_manifest_v2_golden_file_reserializes_byte_identical() {
     let path = golden_dir().join("store_v2_golden.manifest");
     if regen() {
@@ -380,24 +324,20 @@ fn store_manifest_v2_golden_file_reserializes_byte_identical() {
     // Block-table accessors agree with the hand-assembled layout.
     assert_eq!(decoded.num_blocks(0), 2);
     assert_eq!(decoded.num_blocks(2), 1);
-    assert_eq!(decoded.block_fnv(1, 1), 0xdddd_eeee_ffff_0000);
-    assert_eq!(decoded.effective_block_bytes(0), 64);
+    assert_eq!(decoded.chunks[1].blocks[1], 0xdddd_eeee_ffff_0000);
+    assert_eq!(decoded.block_bytes, 64);
 }
 
 #[test]
 fn unknown_store_version_is_rejected_with_clear_error() {
-    let text = golden_store_manifest().render().replacen("v1", "v6", 1);
+    let text = golden_store_manifest_v2().render().replacen("v2", "v6", 1);
     match chef_data::Manifest::parse(&text) {
         Err(err @ chef_data::StoreError::Version(_)) => {
             let msg = err.to_string();
             assert!(msg.contains("chef-store.v6"), "names found version: {msg}");
             assert!(
-                msg.contains("chef-store.v1"),
-                "names supported version: {msg}"
-            );
-            assert!(
                 msg.contains("chef-store.v2"),
-                "names both supported versions: {msg}"
+                "names supported version: {msg}"
             );
         }
         other => panic!("expected Version error, got {other:?}"),

@@ -2,24 +2,23 @@
 //! (DESIGN.md §15).
 //!
 //! The core claim under test: running the cleaning pipeline on a
-//! memory-mapped `store.v1` directory is **bit-identical** to running
+//! memory-mapped `store.v2` directory is **bit-identical** to running
 //! it on the same data materialized as an in-memory [`Dataset`] — same
 //! selector rankings, same suggested labels, same DeltaGrad-L replays,
 //! same final parameter bits — across the full Infl selector, the
 //! Increm-Infl selector (which additionally exercises the sharded
 //! provenance initialization and the per-shard top-b merge), the
 //! DeltaGrad-L constructor, the `pread` fallback, and a pathologically
-//! small residency window (constant eviction). Since `store.v2` the
-//! harness also covers the integrity axis: `LazyFirstTouch` must be
-//! bit-identical to `Eager`,
-//! and a `store.v1` directory (no per-block checksum table) must still
-//! open and produce the same bits. With `fault-inject`, the same
+//! small residency window (constant eviction). Every store run
+//! verifies its blocks on first touch, and the full-Infl run also
+//! checks that one round verified every block exactly once. With
+//! `fault-inject`, the same
 //! equivalence is asserted through a crash + `checkpoint.v1` resume on
 //! a freshly opened store, and corruption lanes check that a bit-flip
 //! slips past a lazy open but is caught on first touch of its block,
 //! whether that touch is a row read or a batch gather. The batch gather
 //! (`gather_rows`) is also checked on its own against the in-memory
-//! bits in every residency/integrity/backing combination.
+//! bits in every residency/backing combination.
 //!
 //! Like the other equivalence suites, this file runs in both feature
 //! configurations exercised by ci.sh (default and
@@ -30,9 +29,7 @@ use chef_core::{
     AnnotationConfig, ConstructorKind, InflSelector, LabelStrategy, Pipeline, PipelineConfig,
     StorePipelineReport,
 };
-use chef_data::{
-    generate_train_store, DatasetKind, DatasetSpec, IntegrityMode, MmapStore, StoreOptions,
-};
+use chef_data::{generate_train_store, DatasetKind, DatasetSpec, MmapStore, StoreOptions};
 use chef_model::{Dataset, DatasetStore, LogisticRegression, WeightedObjective};
 use chef_train::{DeltaGradConfig, SgdConfig};
 use chef_weak::random_probabilistic_labels;
@@ -107,12 +104,28 @@ fn run_on_store(
     val: &Dataset,
     test: &Dataset,
 ) -> StorePipelineReport {
-    let mut store = MmapStore::open_with(dir, opts).expect("open store");
-    random_probabilistic_labels(&mut store, WEAKEN_SEED);
+    run_on_opened_store(
+        &mut MmapStore::open_with(dir, opts).expect("open store"),
+        ctor,
+        incremental,
+        val,
+        test,
+    )
+}
+
+/// Run the pipeline on an already opened store.
+fn run_on_opened_store(
+    store: &mut MmapStore,
+    ctor: ConstructorKind,
+    incremental: bool,
+    val: &Dataset,
+    test: &Dataset,
+) -> StorePipelineReport {
+    random_probabilistic_labels(store, WEAKEN_SEED);
     let model = LogisticRegression::new(store.dim(), store.num_classes());
     let mut sel = selector(incremental);
     Pipeline::new(config(ctor))
-        .round_loop(&model, &mut store, val, test, &mut sel)
+        .round_loop(&model, store, val, test, &mut sel)
         .run_sync()
 }
 
@@ -168,16 +181,19 @@ fn assert_equivalent(mem: &StorePipelineReport, store: &StorePipelineReport) {
 fn full_infl_selector_is_bit_identical_across_stores() {
     let (dir, val, test) = make_store("full");
     let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
-    let store = run_on_store(
-        &dir,
-        StoreOptions::default(),
-        ConstructorKind::Retrain,
-        false,
-        &val,
-        &test,
-    );
+    let mut opened = MmapStore::open(&dir).expect("open store");
+    let store = run_on_opened_store(&mut opened, ConstructorKind::Retrain, false, &val, &test);
     assert_equivalent(&mem, &store);
     assert!(mem.cleaned_total > 0, "fixture must actually clean");
+    // A full round touches every block, so first-touch verification
+    // checks each one exactly once, and later reads hit the bitmap.
+    let io = opened.io_stats().expect("mmap store reports io stats");
+    let manifest = opened.manifest();
+    let blocks: usize = (0..manifest.chunks.len())
+        .map(|c| manifest.num_blocks(c))
+        .sum();
+    assert_eq!(io.blocks_verified, blocks as u64, "every block, once");
+    assert!(io.lazy_verify_hits > 0, "re-reads must hit the bitmap");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -229,72 +245,6 @@ fn pread_fallback_is_bit_identical() {
 }
 
 #[test]
-fn lazy_first_touch_is_bit_identical_to_eager() {
-    // The integrity mode must only change *when* checksums are checked,
-    // never what the selector sees.
-    let (dir, val, test) = make_store("lazy");
-    let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
-    let lazy = run_on_store(
-        &dir,
-        StoreOptions {
-            integrity: IntegrityMode::LazyFirstTouch,
-            ..StoreOptions::default()
-        },
-        ConstructorKind::Retrain,
-        false,
-        &val,
-        &test,
-    );
-    assert_equivalent(&mem, &lazy);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v1_manifest_store_is_still_bit_identical() {
-    // Backward compat: a directory written before store.v2 has no
-    // per-block checksum table. Demote the manifest to the v1 dialect
-    // (drop block lines, flip the version header) and require the
-    // pipeline to produce the same bits in both integrity modes.
-    let (dir, val, test) = make_store("v1compat");
-    let v2_path = dir.join(chef_data::store::MANIFEST_FILE_V2);
-    let v2 = std::fs::read_to_string(&v2_path).unwrap();
-    let mut v1 = String::new();
-    for line in v2.lines() {
-        if line.starts_with("block_bytes=")
-            || line.starts_with("blocks=")
-            || line.starts_with("labels_fnv64=")
-        {
-            continue;
-        }
-        if line == chef_data::store::STORE_VERSION_V2 {
-            v1.push_str(chef_data::store::STORE_VERSION);
-        } else {
-            v1.push_str(line);
-        }
-        v1.push('\n');
-    }
-    std::fs::write(dir.join(chef_data::store::MANIFEST_FILE), v1).unwrap();
-    std::fs::remove_file(&v2_path).unwrap();
-
-    let mem = run_in_memory(&dir, ConstructorKind::Retrain, false, &val, &test);
-    for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
-        let store = run_on_store(
-            &dir,
-            StoreOptions {
-                integrity,
-                ..StoreOptions::default()
-            },
-            ConstructorKind::Retrain,
-            false,
-            &val,
-            &test,
-        );
-        assert_equivalent(&mem, &store);
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn tiny_residency_window_changes_nothing_but_paging() {
     // residency_chunks = 1 forces an eviction on almost every chunk
     // transition; evicted pages must refault with identical contents.
@@ -316,18 +266,12 @@ fn tiny_residency_window_changes_nothing_but_paging() {
 }
 
 /// Open `dir` with every store option spelled out.
-fn open_store(
-    dir: &Path,
-    residency_chunks: usize,
-    integrity: IntegrityMode,
-    force_pread: bool,
-) -> MmapStore {
+fn open_store(dir: &Path, residency_chunks: usize, force_pread: bool) -> MmapStore {
     MmapStore::open_with(
         dir,
         StoreOptions {
             residency_chunks,
             force_pread,
-            integrity,
         },
     )
     .expect("open store")
@@ -350,30 +294,28 @@ fn gather_rows_returns_in_memory_bits_in_every_store_mode() {
         (0..n).rev().step_by(7).collect(),
     ];
     for residency_chunks in [0, 1, 8] {
-        for integrity in [IntegrityMode::Eager, IntegrityMode::LazyFirstTouch] {
-            for force_pread in [false, true] {
-                let store = open_store(&dir, residency_chunks, integrity, force_pread);
-                let lane = format!("window={residency_chunks} {integrity:?} pread={force_pread}");
-                for rows in &row_sets {
-                    let want: Vec<f64> = rows
-                        .iter()
-                        .flat_map(|&i| mem.feature(i).iter().copied())
-                        .collect();
-                    let mut from_mem = vec![f64::NAN; rows.len() * d];
-                    mem.gather_rows(rows, &mut from_mem);
-                    assert_bits_eq(&want, &from_mem, &format!("{lane}: in-memory gather"));
-                    // A sequential read first, so the window is in use
-                    // when the gather runs.
-                    let _ = store.feature_rows(0, CHUNK_ROWS);
-                    let mut got = vec![f64::NAN; rows.len() * d];
-                    store.gather_rows(rows, &mut got);
-                    assert_bits_eq(&want, &got, &format!("{lane}: mmap gather {rows:?}"));
-                    assert!(
-                        store.resident_chunks() <= residency_chunks,
-                        "{lane}: {} chunks left in the window",
-                        store.resident_chunks()
-                    );
-                }
+        for force_pread in [false, true] {
+            let store = open_store(&dir, residency_chunks, force_pread);
+            let lane = format!("window={residency_chunks} pread={force_pread}");
+            for rows in &row_sets {
+                let want: Vec<f64> = rows
+                    .iter()
+                    .flat_map(|&i| mem.feature(i).iter().copied())
+                    .collect();
+                let mut from_mem = vec![f64::NAN; rows.len() * d];
+                mem.gather_rows(rows, &mut from_mem);
+                assert_bits_eq(&want, &from_mem, &format!("{lane}: in-memory gather"));
+                // A sequential read first, so the window is in use
+                // when the gather runs.
+                let _ = store.feature_rows(0, CHUNK_ROWS);
+                let mut got = vec![f64::NAN; rows.len() * d];
+                store.gather_rows(rows, &mut got);
+                assert_bits_eq(&want, &got, &format!("{lane}: mmap gather {rows:?}"));
+                assert!(
+                    store.resident_chunks() <= residency_chunks,
+                    "{lane}: {} chunks left in the window",
+                    store.resident_chunks()
+                );
             }
         }
     }
@@ -479,10 +421,10 @@ mod fault_inject {
 
     #[test]
     fn bitflip_passes_lazy_open_but_fails_on_first_touch() {
-        // A flipped bit deep in the last shard: eager open must reject
-        // it up front; a lazy open must succeed in O(manifest) work and
-        // then surface `Corrupt` exactly when the damaged block is first
-        // touched — after which the store stays poisoned.
+        // A flipped bit deep in the last shard: open must succeed in
+        // O(manifest) work and then surface `Corrupt` exactly when the
+        // damaged block is first touched — after which the store stays
+        // poisoned.
         let (dir, _val, _test) = make_store("bitflip");
         let chunk = dir.join(chef_data::store::chunk_file_name(4));
         let mut bytes = std::fs::read(&chunk).unwrap();
@@ -490,16 +432,7 @@ mod fault_inject {
         bytes[last] ^= 0x10;
         std::fs::write(&chunk, &bytes).unwrap();
 
-        assert!(matches!(MmapStore::open(&dir), Err(StoreError::Corrupt(_))));
-
-        let store = MmapStore::open_with(
-            &dir,
-            StoreOptions {
-                integrity: IntegrityMode::LazyFirstTouch,
-                ..StoreOptions::default()
-            },
-        )
-        .expect("lazy open must not touch shard bytes");
+        let store = MmapStore::open(&dir).expect("lazy open must not touch shard bytes");
         // Earlier shards are intact and verify on demand.
         store.verify_rows(0, 4 * CHUNK_ROWS).expect("clean shards");
         // First touch of the damaged shard's block reports corruption...
@@ -532,7 +465,6 @@ mod fault_inject {
             let store = MmapStore::open_with(
                 &dir,
                 StoreOptions {
-                    integrity: IntegrityMode::LazyFirstTouch,
                     force_pread,
                     ..StoreOptions::default()
                 },
